@@ -390,9 +390,7 @@ func TestFleetCrashMidEpochResume(t *testing.T) {
 // retry can absorb, the sweep must instead emit a report byte-identical
 // to the fault-free run's — retries leave no trace in the output.
 func TestSweepUnderFaults(t *testing.T) {
-	// The suite's singleflight cache means a second Run on the same
-	// suite never re-measures (cached cells shadow the injector), so
-	// every scenario gets a fresh suite with a pre-warmed baseline —
+	// Every scenario gets a fresh suite with a pre-warmed baseline —
 	// injected faults then land on grid cells (which degrade per-cell)
 	// rather than on sweep setup (which is fatal).
 	newSuite := func() *bench.Suite {

@@ -101,12 +101,13 @@
 // both tiers (machine_run_interp / machine_run_compiled).
 //
 // Every command accepts -engine interp|compiled to select the execution
-// tier for profiling and measurement machines. The compiled engine runs
-// pre-compiled threaded code (closure chains) instead of per-instruction
-// dispatch; it is cycle-exact against the interpreter — profiles,
-// latencies, sweep surfaces and censuses are identical — so the flag
-// only changes wall-clock time. Machines the compiled tier cannot run
-// (live recorder, hook, injector, exact accounting) silently fall back.
+// tier for profiling and measurement machines. The default, compiled,
+// runs pre-compiled threaded code (closure chains) instead of
+// per-instruction dispatch; it is cycle-exact against the interp
+// reference tier — profiles, latencies, sweep surfaces and censuses are
+// identical — so the flag only changes wall-clock time. Machines the
+// compiled tier cannot run (live recorder, hook, injector, exact
+// accounting) silently fall back to the interpreter.
 //
 // Fleet mode runs continuous profiling: -fleet concurrent collectors per
 // epoch stream profile deltas into a sharded aggregator with per-epoch
@@ -183,8 +184,8 @@ func main() {
 	lenient := fs.Bool("lenient", false, "salvage corrupt/truncated -profile inputs instead of failing")
 	measureWorkers := fs.Int("measure-workers", runtime.GOMAXPROCS(0),
 		"measurement worker pool size (0 = legacy serial driver)")
-	engineName := fs.String("engine", "interp",
-		"execution engine: interp (packed-event reference) or compiled (threaded code; cycle-exact, faster)")
+	engineName := fs.String("engine", "compiled",
+		"execution engine: compiled (threaded code; cycle-exact, faster) or interp (packed-event reference)")
 	benchIters := fs.Int("bench-iters", 3, "minimum iterations per bench-engine benchmark")
 	sweepGrid := fs.String("sweep-grid", "0,50,90,99,99.9,99.99,99.9999",
 		"comma-separated budget grid in percent, applied to both sweep axes")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,11 @@ type Suite struct {
 // flight is one cached (possibly still in-progress) build or
 // measurement. The first caller to claim a key becomes the leader and
 // performs the work; everyone else blocks on done and shares the
-// result. Entries are never evicted — the flight map IS the cache.
+// result. The flight map IS the cache, and it keeps every successful
+// entry — tables reuse images across each other — with two exceptions:
+// a failed flight is forgotten as it completes (see finish), and the
+// budget sweep, which visits each cell exactly once, drops a cell's
+// flights with Release as soon as the cell is evaluated.
 type flight struct {
 	done chan struct{}
 	img  *pibe.Image
@@ -62,6 +67,45 @@ func (s *Suite) claim(key string) (*flight, bool) {
 	f := &flight{done: make(chan struct{})}
 	s.flight[key] = f
 	return f, true
+}
+
+// finish publishes the leader's result for key. A failed flight is
+// removed from the cache before its waiters wake: they still share the
+// error, but the next caller rebuilds instead of inheriting it, so one
+// transient failure of a shared configuration cannot poison every
+// later table that uses it.
+func (s *Suite) finish(key string, f *flight) {
+	if f.err != nil {
+		s.mu.Lock()
+		if s.flight[key] == f {
+			delete(s.flight, key)
+		}
+		s.mu.Unlock()
+	}
+	close(f.done)
+}
+
+// Release drops the cached image and latencies of a named
+// configuration, for callers that will not ask for it again. Callers
+// already holding the image keep it; a later request rebuilds it.
+func (s *Suite) Release(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.flight, "img:"+name)
+	delete(s.flight, "lat:"+name)
+}
+
+// Cached lists the suite's cache keys in sorted order: "img:NAME" for
+// an image, "lat:NAME" for its latencies.
+func (s *Suite) Cached() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.flight))
+	for k := range s.flight {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // ForEach runs fn(0) .. fn(n-1) across a bounded pool of workers and
@@ -155,12 +199,13 @@ const (
 // Image builds (or returns the cached) image for a named configuration.
 // Concurrent calls for the same name share one build.
 func (s *Suite) Image(name string, cfg pibe.BuildConfig) (*pibe.Image, error) {
-	f, leader := s.claim("img:" + name)
+	key := "img:" + name
+	f, leader := s.claim(key)
 	if !leader {
 		<-f.done
 		return f.img, f.err
 	}
-	defer close(f.done)
+	defer s.finish(key, f)
 	f.img, f.err = s.Sys.Build(cfg)
 	if f.err != nil {
 		f.err = fmt.Errorf("bench: build %s: %w", name, f.err)
@@ -174,12 +219,13 @@ func (s *Suite) Image(name string, cfg pibe.BuildConfig) (*pibe.Image, error) {
 // pass over the whole suite, so one flaky round cannot sink a long
 // table-reproduction run.
 func (s *Suite) Latencies(name string, cfg pibe.BuildConfig) ([]pibe.Latency, error) {
-	f, leader := s.claim("lat:" + name)
+	key := "lat:" + name
+	f, leader := s.claim(key)
 	if !leader {
 		<-f.done
 		return f.lat, f.err
 	}
-	defer close(f.done)
+	defer s.finish(key, f)
 	img, err := s.Image(name, cfg)
 	if err != nil {
 		f.err = err

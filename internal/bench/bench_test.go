@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -214,6 +215,70 @@ func TestImageCaching(t *testing.T) {
 	}
 	if a != b {
 		t.Error("cache miss for identical name")
+	}
+}
+
+// TestReleaseDropsImage: a released configuration is rebuilt on the
+// next request, and the cache lists only what is still held.
+func TestReleaseDropsImage(t *testing.T) {
+	s := newTestSuite(t)
+	a, err := s.Image("x", pibe.BuildConfig{})
+	if err != nil {
+		t.Fatalf("Image: %v", err)
+	}
+	if got := s.Cached(); !slices.Equal(got, []string{"img:x"}) {
+		t.Fatalf("Cached() = %q, want [img:x]", got)
+	}
+	s.Release("x")
+	if got := s.Cached(); len(got) != 0 {
+		t.Fatalf("Cached() after Release = %q, want empty", got)
+	}
+	b, err := s.Image("x", pibe.BuildConfig{})
+	if err != nil {
+		t.Fatalf("Image: %v", err)
+	}
+	if a == b {
+		t.Error("released image served from the cache")
+	}
+}
+
+// TestFailedFlightNotCached: a failed measurement is not cached. Every
+// caller racing a measurement blackout gets the injected fault, and once
+// the faults stop the next caller measures afresh instead of inheriting
+// the stale failure — one transient fault on the shared baseline must
+// not sink every later table.
+func TestFailedFlightNotCached(t *testing.T) {
+	s := newTestSuite(t)
+	inj := s.Sys.InjectFaults(77, pibe.FaultRates{Measure: 1}, 0)
+	const n = 4
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.Baseline()
+		}(i)
+	}
+	wg.Wait()
+	s.Sys.InjectFaults(0, pibe.FaultRates{}, 0)
+	if inj.Total() == 0 {
+		t.Fatal("no faults fired; the scenario tested nothing")
+	}
+	for i, err := range errs {
+		if fe, ok := resilience.AsFault(err); !ok || !fe.Injected {
+			t.Errorf("caller %d: err = %v, want the injected fault", i, err)
+		}
+	}
+	if slices.Contains(s.Cached(), "lat:lto-baseline") {
+		t.Error("failed baseline measurement is still cached")
+	}
+	lat, err := s.Baseline()
+	if err != nil {
+		t.Fatalf("Baseline after the faults stopped: %v", err)
+	}
+	if len(lat) != len(s.Sys.Kernel.Specs) {
+		t.Errorf("baseline has %d latencies, want %d", len(lat), len(s.Sys.Kernel.Specs))
 	}
 }
 

@@ -39,11 +39,14 @@
 //     into the first event's closure, as is every superblock seam
 //     (cStep) for the event that follows it.
 //
-// The tier is opt-in (Machine.Engine) and conservative: machines with a
-// Recorder, ICallHook, Injector, replaced RNG or ExactAccounting fall
-// back to the interpreter silently — those paths observe per-event
-// execution and the compiled chain does not expose it. OnResolve is
-// supported (diffcheck depends on it).
+// The tier is the default engine of every pibe.System and CLI command
+// (ParseEngine("") selects it); a bare Machine still starts on the
+// interpreter, the reference tier the equivalence gates compare
+// against. It is conservative: machines with a Recorder, ICallHook,
+// Injector, replaced RNG or ExactAccounting fall back to the
+// interpreter silently — those paths observe per-event execution and
+// the compiled chain does not expose it. OnResolve is supported
+// (diffcheck depends on it).
 package interp
 
 import (
@@ -59,7 +62,8 @@ import (
 type Engine uint8
 
 const (
-	// EngineInterp is the packed-event interpreter — the reference tier.
+	// EngineInterp is the packed-event interpreter — the reference tier
+	// and the zero value, so a Machine runs on it unless told otherwise.
 	EngineInterp Engine = iota
 	// EngineCompiled is the threaded-code tier. Machines that carry
 	// state the compiled chain cannot observe (recorder, hook, injector,
@@ -68,11 +72,12 @@ const (
 )
 
 // ParseEngine parses an engine name as used by the -engine CLI flag.
+// The empty name selects the default, the compiled tier.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "interp":
+	case "interp":
 		return EngineInterp, nil
-	case "compiled":
+	case "", "compiled":
 		return EngineCompiled, nil
 	}
 	return EngineInterp, errors.New("interp: unknown engine " + s + " (want interp or compiled)")

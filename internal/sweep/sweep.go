@@ -13,8 +13,10 @@
 //
 // Cells share one bench.Suite, so the singleflight image/latency caches
 // build each configuration exactly once no matter how the grid is
-// fanned out, and measurement inside a cell goes through the sharded
-// deterministic driver when the suite's system has measure workers set.
+// fanned out; each cell releases its entries once evaluated, so a sweep
+// holds only the in-flight cells' images and runs in bounded memory.
+// Measurement inside a cell goes through the sharded deterministic
+// driver when the suite's system has measure workers set.
 // The report is a pure function of (kernel config, grid, combos): cells
 // are assembled in grid order, not completion order, and every float in
 // the JSON comes from the deterministic measurement path, so the
@@ -346,8 +348,7 @@ func cellName(combo Combo, icp, inl float64) string {
 }
 
 // measureCell builds and measures one grid point under the given suite
-// cache key. It is the one attempt inside the retry loop; retries pass a
-// fresh key because the suite's flight map caches failures forever.
+// cache key. It is the one attempt inside the retry loop.
 func measureCell(s *bench.Suite, key string, base []pibe.Latency, combo Combo, icp, inl float64, timings bool) (Cell, error) {
 	bc := pibe.BuildConfig{
 		Profile:  s.ProfLM,
@@ -390,11 +391,13 @@ func measureCell(s *bench.Suite, key string, base []pibe.Latency, combo Combo, i
 }
 
 // evalCell runs one cell to completion: transient faults are retried
-// under the config's policy (each retry under a fresh cache key, since
-// the suite caches failed flights), and a cell that exhausts its
-// retries degrades to a failed Cell carrying the structured fault
+// under the config's policy (attempt N > 1 under the cache key
+// NAME-retryN, which failure messages name), and a cell that exhausts
+// its retries degrades to a failed Cell carrying the structured fault
 // instead of an error — one poisoned grid point must not sink an
-// hours-long sweep.
+// hours-long sweep. Each attempt releases its image and latencies from
+// the suite when it ends: a sweep visits every cell once, so keeping
+// them would only hold one cloned kernel per cell alive until the end.
 func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell {
 	combo := cfg.Combos[k.combo]
 	icp, inl := cfg.ICPGrid[k.icp], cfg.InlineGrid[k.inl]
@@ -408,6 +411,7 @@ func evalCell(s *bench.Suite, cfg *Config, base []pibe.Latency, k cellKey) Cell 
 			key = fmt.Sprintf("%s-retry%d", name, attempt)
 		}
 		cc, err := measureCell(s, key, base, combo, icp, inl, cfg.Timings)
+		s.Release(key)
 		if err != nil {
 			return err
 		}

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	pibe "repro"
 	"repro/internal/bench"
@@ -262,5 +264,51 @@ func TestSweepSmallGridDeterministicAndMonotone(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered tables missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunReleasesCellFlights: a sweep holds only its in-flight cells'
+// images. After Run, whether its cells succeed or exhaust their retries,
+// the suite caches nothing but the LTO baseline, so a full grid runs in
+// memory bounded by the worker count rather than the cell count.
+func TestRunReleasesCellFlights(t *testing.T) {
+	combos, err := CombosByName("retpoline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		ICPGrid:    []float64{0.999},
+		InlineGrid: []float64{0, 0.999},
+		Combos:     combos,
+		Retry:      resilience.RetryPolicy{Sleep: func(time.Duration) {}},
+		Warnf:      t.Logf,
+	}
+	want := []string{"img:lto-baseline", "lat:lto-baseline"}
+	s := newSweepSuite(t, 2)
+	rep, err := Run(s, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.FailedCells != 0 {
+		t.Fatalf("FailedCells = %d, want 0", rep.FailedCells)
+	}
+	if got := s.Cached(); !slices.Equal(got, want) {
+		t.Errorf("after a clean sweep the suite caches %q, want %q", got, want)
+	}
+
+	// A second sweep on the same suite re-measures every cell, and under
+	// a measurement blackout every attempt fails; none may stay cached.
+	inj := s.Sys.InjectFaults(4321, pibe.FaultRates{Measure: 1}, 0)
+	rep, err = Run(s, cfg)
+	s.Sys.InjectFaults(0, pibe.FaultRates{}, 0)
+	if err != nil {
+		t.Fatalf("Run under blackout: %v", err)
+	}
+	if inj.Total() == 0 || rep.FailedCells != len(rep.Cells) {
+		t.Fatalf("blackout fired %d faults and failed %d of %d cells, want all failed",
+			inj.Total(), rep.FailedCells, len(rep.Cells))
+	}
+	if got := s.Cached(); !slices.Equal(got, want) {
+		t.Errorf("after a failed sweep the suite caches %q, want %q", got, want)
 	}
 }

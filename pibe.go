@@ -247,7 +247,8 @@ type System struct {
 	// the sharded parallel driver with that many workers.
 	measureWorkers int
 	// engine selects the execution tier for every machine this system's
-	// profiling and measurement runs build.
+	// profiling and measurement runs build; NewSyntheticKernel sets
+	// EngineCompiled.
 	engine interp.Engine
 }
 
@@ -255,22 +256,25 @@ type System struct {
 // measurement runs. See SetEngine.
 type Engine = interp.Engine
 
-// Execution tiers: the packed-event interpreter (the default) and the
-// threaded-code compiled engine. The compiled tier is cycle-exact, so
-// every profile, measurement, sweep surface and census is identical
-// under either; only wall-clock changes. Machines whose configuration
-// the compiled tier does not support (live recorder, hook, injector or
-// exact-accounting mode) fall back to the interpreter silently.
+// Execution tiers: the threaded-code compiled engine (the default) and
+// the packed-event interpreter it is checked against. The compiled
+// tier is cycle-exact, so every profile, measurement, sweep surface and
+// census is identical under either; only wall-clock changes. Machines
+// whose configuration the compiled tier does not support (live
+// recorder, hook, injector or exact-accounting mode) fall back to the
+// interpreter silently, so profiling always runs on the interpreter.
 const (
 	EngineInterp   = interp.EngineInterp
 	EngineCompiled = interp.EngineCompiled
 )
 
 // SetEngine selects the execution tier for this system's profiling and
-// measurement runs and those of images it builds.
+// measurement runs and those of images it builds. The default is
+// EngineCompiled.
 func (s *System) SetEngine(e Engine) { s.engine = e }
 
-// ParseEngine parses an engine name ("interp" or "compiled").
+// ParseEngine parses an engine name ("interp" or "compiled"; the empty
+// name selects the default, "compiled").
 func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
 
 // SetMeasureWorkers selects the measurement driver for this system's
@@ -298,7 +302,7 @@ func NewSyntheticKernel(cfg KernelConfig) (sys *System, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{Kernel: k, prog: prog}, nil
+	return &System{Kernel: k, prog: prog, engine: EngineCompiled}, nil
 }
 
 // InjectFaults arms a deterministic, seeded chaos injector on this

@@ -328,3 +328,40 @@ func TestOverheadZeroBase(t *testing.T) {
 		t.Errorf("geomean = %v, want 0.1 from the finite entries", g)
 	}
 }
+
+// TestDefaultEngineIsCompiled pins the default execution tier: the empty
+// engine name and a fresh system both select the compiled tier, and the
+// same image measured after switching the system to the interpreter
+// reference yields bit-identical latencies.
+func TestDefaultEngineIsCompiled(t *testing.T) {
+	if e, err := pibe.ParseEngine(""); err != nil || e != pibe.EngineCompiled {
+		t.Fatalf(`ParseEngine("") = %v, %v; want compiled`, e, err)
+	}
+	sys := testSystem(t)
+	if e := pibe.SystemEngine(sys); e != pibe.EngineCompiled {
+		t.Fatalf("fresh system engine = %v, want compiled", e)
+	}
+	img, err := sys.Build(pibe.BuildConfig{Defenses: pibe.AllDefenses})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	compiled, err := img.MeasureLMBench(pibe.LMBench)
+	if err != nil {
+		t.Fatalf("MeasureLMBench (compiled): %v", err)
+	}
+	sys.SetEngine(pibe.EngineInterp)
+	ref, err := img.MeasureLMBench(pibe.LMBench)
+	if err != nil {
+		t.Fatalf("MeasureLMBench (interp): %v", err)
+	}
+	if len(compiled) == 0 || len(compiled) != len(ref) {
+		t.Fatalf("latency counts: compiled %d, interp %d", len(compiled), len(ref))
+	}
+	for i := range ref {
+		c, r := compiled[i], ref[i]
+		if c.Bench != r.Bench || math.Float64bits(c.Micros) != math.Float64bits(r.Micros) ||
+			math.Float64bits(c.Cycles) != math.Float64bits(r.Cycles) {
+			t.Errorf("%s: compiled %+v, interp %+v", r.Bench, c, r)
+		}
+	}
+}
