@@ -23,10 +23,10 @@ type engineBench struct {
 // engineReport is the machine-readable perf trajectory record emitted by
 // `pibe bench-engine`.
 type engineReport struct {
-	Seed       int64  `json:"seed"`
-	Engine     string `json:"engine"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Workers    int    `json:"measure_workers"`
+	Seed       int64         `json:"seed"`
+	Engine     string        `json:"engine"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Workers    int           `json:"measure_workers"`
 	Benches    []engineBench `json:"benches"`
 	// SpeedupMachineRun is interpreter machine_run ns/op divided by
 	// compiled ns/op — the threaded-code tier's dispatch speedup,
@@ -83,8 +83,9 @@ func benchLoop(name string, minIters int, fn func() error) (engineBench, error) 
 // and internal/interp so the CLI numbers and `go test -bench` numbers
 // describe the same code paths. The machine_run dispatch benchmark is
 // always timed on both tiers (machine_run_interp / machine_run_compiled
-// rows); the headline machine_run row and the workload benchmarks run
-// on the selected engine.
+// rows); the headline machine_run row and the workload benchmarks
+// (measure_lmbench, profile_collection, measure_request_*) run on the
+// selected engine.
 func benchEngine(path string, seed int64, workers, minIters int, eng interp.Engine) error {
 	k, err := kernel.Generate(kernel.Config{Seed: seed})
 	if err != nil {
@@ -144,12 +145,29 @@ func benchEngine(path string, seed int64, workers, minIters int, eng interp.Engi
 	rep.Benches = append(rep.Benches, head, bInterp, bCompiled)
 	rep.SpeedupMachineRun = bInterp.NsPerOp / bCompiled.NsPerOp
 
+	// One LMBench MeasureAll on one worker: the per-cell hot path of a
+	// sweep. machine_run's one entry touches a few lines that always
+	// hit; the whole suite spreads over every i-cache set, so the
+	// i-cache path a sweep pays shows here.
+	ml, err := newRunner(workload.LMBench, 1)
+	if err != nil {
+		return err
+	}
+	b, err := benchLoop("measure_lmbench", minIters, func() error {
+		_, err := ml.MeasureAll()
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	rep.Benches = append(rep.Benches, b)
+
 	// Profile collection over the Apache mix.
 	pr, err := newRunner(workload.Apache, 0)
 	if err != nil {
 		return err
 	}
-	b, err := benchLoop("profile_collection", minIters, func() error {
+	b, err = benchLoop("profile_collection", minIters, func() error {
 		_, err := pr.Profile(2)
 		return err
 	})

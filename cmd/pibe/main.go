@@ -95,8 +95,9 @@
 // with N >= 1 the sharded measurement driver runs repetitions on a
 // bounded worker pool with per-repetition derived seeds, deterministic
 // for every N; -measure-workers=0 selects the legacy serial driver.
-// bench-engine times the execution engine (machine dispatch, profile
-// collection, request measurement serial vs parallel) and writes a
+// bench-engine times the execution engine (machine dispatch, one LMBench
+// MeasureAll, profile collection, request measurement serial vs
+// parallel) and writes a
 // machine-readable BENCH_engine.json; raw dispatch is always timed on
 // both tiers (machine_run_interp / machine_run_compiled).
 //

@@ -11,6 +11,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/ir"
@@ -167,6 +168,8 @@ type Model struct {
 	// scan for the dominant re-touch pattern (straight-line execution
 	// touching the same lines every block). The MRU probe is a pure
 	// lookup optimization: hit/miss/eviction behaviour is unchanged.
+	// Only this method path reads or writes it; the threaded-code
+	// engine keeps per-site slot hints of its own (EngineState).
 	icTags  []int64 // [set*ways+way] line tag; -1 = invalid
 	icStamp []int64 // [set*ways+way] last-use stamp; min = LRU victim
 	icMRU   []int32 // [set] way of the most recent hit or fill
@@ -180,8 +183,13 @@ type Model struct {
 	icShift int
 }
 
-// New returns a Model with cold predictors and caches.
+// New returns a Model with cold predictors and caches. It panics when
+// the geometry cannot be indexed: the BTB, PHT and i-cache set index are
+// masks (n-1), so their sizes must be powers of two, and the i-cache
+// ways, line size and RSB depth must be at least 1. A non-power-of-two
+// line size is legal (set indexing then divides).
 func New(p Params) *Model {
+	checkGeometry(p)
 	m := &Model{P: p}
 	m.btb = make([]int64, p.BTBEntries)
 	m.btbMask = int64(p.BTBEntries - 1)
@@ -204,6 +212,28 @@ func New(p Params) *Model {
 	m.icMask = int64(p.ICacheSets - 1)
 	m.icSets = int64(p.ICacheSets)
 	return m
+}
+
+// checkGeometry panics, naming the offending field, on a geometry New
+// cannot index.
+func checkGeometry(p Params) {
+	pow2 := func(name string, n int) {
+		if n < 1 || n&(n-1) != 0 {
+			panic(fmt.Sprintf("cpu: %s = %d is not a power of two", name, n))
+		}
+	}
+	pow2("BTBEntries", p.BTBEntries)
+	pow2("PHTEntries", p.PHTEntries)
+	pow2("ICacheSets", p.ICacheSets)
+	if p.ICacheWays < 1 {
+		panic(fmt.Sprintf("cpu: ICacheWays = %d, need at least 1", p.ICacheWays))
+	}
+	if p.ICacheLine < 1 {
+		panic(fmt.Sprintf("cpu: ICacheLine = %d, need at least 1", p.ICacheLine))
+	}
+	if p.RSBDepth < 1 {
+		panic(fmt.Sprintf("cpu: RSBDepth = %d, need at least 1", p.RSBDepth))
+	}
 }
 
 // Reset clears cycle count and statistics but keeps predictor state, so a

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -404,5 +406,55 @@ func TestDefenseCostTableNewBackends(t *testing.T) {
 		if _, ok := m.DefenseCost(def); !ok {
 			t.Errorf("DefenseCost(%v) not defined", def)
 		}
+	}
+}
+
+// TestNewRejectsUnindexableGeometry: every predictor and the i-cache set
+// index are masks (n-1), so a non-power-of-two size would silently use
+// only part of the table, and a zero way count or RSB depth would fault
+// on the first access. New must refuse each one by name; a
+// non-power-of-two line size stays legal (set indexing divides).
+func TestNewRejectsUnindexableGeometry(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Params)
+		want   string // panic message substring; "" = must construct
+	}{
+		{"default", func(*Params) {}, ""},
+		{"btb-48", func(p *Params) { p.BTBEntries = 48 }, "BTBEntries = 48"},
+		{"btb-0", func(p *Params) { p.BTBEntries = 0 }, "BTBEntries = 0"},
+		{"pht-1000", func(p *Params) { p.PHTEntries = 1000 }, "PHTEntries = 1000"},
+		{"icache-sets-48", func(p *Params) { p.ICacheSets = 48 }, "ICacheSets = 48"},
+		{"icache-sets-neg", func(p *Params) { p.ICacheSets = -64 }, "ICacheSets = -64"},
+		{"icache-ways-0", func(p *Params) { p.ICacheWays = 0 }, "ICacheWays = 0"},
+		{"icache-line-0", func(p *Params) { p.ICacheLine = 0 }, "ICacheLine = 0"},
+		{"rsb-0", func(p *Params) { p.RSBDepth = 0 }, "RSBDepth = 0"},
+		{"one-set-one-way", func(p *Params) { p.ICacheSets, p.ICacheWays = 1, 1 }, ""},
+		{"line-48", func(p *Params) { p.ICacheLine = 48 }, ""},
+		{"ways-3", func(p *Params) { p.ICacheWays = 3 }, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := DefaultParams()
+			c.mutate(&p)
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				m := New(p)
+				m.TouchLines(0x1000, 4) // a legal geometry must also run
+				m.IndirectCall(0x2000, 0x3000, 0x2008, 0, ir.DefNone)
+				m.Return(0x2008, ir.DefNone)
+			}()
+			switch {
+			case c.want == "" && got != "":
+				t.Fatalf("New panicked on a legal geometry: %s", got)
+			case c.want != "" && !strings.Contains(got, c.want):
+				t.Fatalf("panic = %q, want one naming %q", got, c.want)
+			}
+		})
 	}
 }

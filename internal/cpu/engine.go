@@ -15,6 +15,11 @@ package cpu
 // order-sensitive state (BTB/PHT slots, RSB cursor, LRU stamps) is
 // updated through the same arrays with the same rules in the same
 // sequence.
+//
+// The per-set MRU way the Model's own touch path probes is not part of
+// the view: it is a lookup shortcut, not model state, so an engine may
+// find lines its own way (and leave the MRU stale — any way index in
+// [0, ways) is a valid probe).
 type EngineState struct {
 	Cycles int64
 	Stats  Counters
@@ -32,7 +37,6 @@ type EngineState struct {
 
 	ICTags  []int64
 	ICStamp []int64
-	ICMRU   []int32
 	ICTick  int64
 	ICWays  int
 	ICMask  int64
@@ -59,7 +63,6 @@ func (m *Model) EngineView(st *EngineState) bool {
 	st.PHTMask = m.phtMask
 	st.ICTags = m.icTags
 	st.ICStamp = m.icStamp
-	st.ICMRU = m.icMRU
 	st.ICTick = m.icTick
 	st.ICWays = m.icWays
 	st.ICMask = m.icMask
@@ -82,7 +85,7 @@ func (m *Model) EngineSync(st *EngineState) {
 
 // EngineRestore writes the engine-evolved scalars back into the model,
 // ending the borrow started by EngineView. Slice-backed state (BTB, PHT,
-// RSB entries, icache tags/stamps/MRU) was mutated in place and needs no
+// RSB entries, icache tags/stamps) was mutated in place and needs no
 // copy-back.
 func (m *Model) EngineRestore(st *EngineState) {
 	m.Cycles = st.Cycles

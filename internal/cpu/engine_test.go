@@ -25,13 +25,14 @@ func TestEngineStateMatchesModel(t *testing.T) {
 	if st.Cycles != m.Cycles || st.Stats != m.Stats {
 		t.Fatalf("view scalars diverge: cycles %d vs %d", st.Cycles, m.Cycles)
 	}
-	if st.ICShift < 0 || st.ICMask != int64(len(st.ICMRU)-1) {
+	sets := m.P.ICacheSets
+	if st.ICShift < 0 || st.ICMask != int64(sets-1) {
 		t.Fatalf("view geometry inconsistent: shift %d mask %d sets %d",
-			st.ICShift, st.ICMask, len(st.ICMRU))
+			st.ICShift, st.ICMask, sets)
 	}
-	if len(st.ICTags) != len(st.ICMRU)*st.ICWays || len(st.ICStamp) != len(st.ICTags) {
+	if len(st.ICTags) != sets*st.ICWays || len(st.ICStamp) != len(st.ICTags) {
 		t.Fatalf("icache arrays inconsistent: %d tags, %d stamps, %d sets × %d ways",
-			len(st.ICTags), len(st.ICStamp), len(st.ICMRU), st.ICWays)
+			len(st.ICTags), len(st.ICStamp), sets, st.ICWays)
 	}
 	if len(st.RSB) != st.RSBDepth {
 		t.Fatalf("RSB length %d != depth %d", len(st.RSB), st.RSBDepth)

@@ -22,8 +22,8 @@
 // equivalence tests, FuzzCompiledEquivalence and the diffcheck
 // engine-vs-engine gate all enforce.
 //
-// Superinstruction fusion: the profile work in PR 4/5 identified the
-// hot event shapes on the syscall path — straight-line segments ending
+// Superinstruction fusion: profiling identified the hot event shapes
+// on the syscall path — straight-line segments ending
 // in a return ("step,ret" leaf helpers), direct calls into those
 // helpers, resolve feeding an indirect call, and block-entry accounting
 // feeding a terminator. Each is fused here:
@@ -38,6 +38,12 @@
 //     charge or per-event icache touch) is a compile-time prefix baked
 //     into the first event's closure, as is every superblock seam
 //     (cStep) for the event that follows it.
+//
+// I-cache touches go through per-site slot hints: compileProgram gives
+// every touch site one hint index per line it touches, and each VM
+// keeps the flat tag/stamp slot where that line was last found or
+// filled. One tag compare validates a hint, so a hit skips the set scan
+// while every stamp, hit, miss and victim stays the model's.
 //
 // The tier is the default engine of every pibe.System and CLI command
 // (ParseEngine("") selects it); a bare Machine still starts on the
@@ -106,6 +112,16 @@ type cop func(vm *cvm) cop
 type compiled struct {
 	funcs []cfn
 	addrs []int64 // function base addresses, indexed like funcs
+	// nHints counts the i-cache slot hints the closures index: every
+	// touch site (block entry, seam, leaf segment) owns one per line.
+	nHints int
+}
+
+// newHints reserves n consecutive slot-hint indices for one touch site.
+func (cp *compiled) newHints(n int) int {
+	h := cp.nHints
+	cp.nHints += n
+	return h
 }
 
 // cfn is one compiled function.
@@ -137,6 +153,7 @@ type leafSeg struct {
 	cost, count int64
 	lineBase    int64
 	nLines      int
+	hint        int // first of nLines slot hints
 }
 
 // leafBody is the data-driven description of a leaf function, executed
@@ -224,21 +241,27 @@ type cvm struct {
 	// from; runs against the same model re-borrow with EngineSync.
 	model *cpu.Model
 
+	// hints holds the slot hints, compiled.nHints of them. An eviction,
+	// ResetAll or another engine touching the model leaves a hint
+	// stale, never wrong. uint16 caps the cache at 65536 slots.
+	hints []uint16
+
 	// Pointer-hoisted icache arrays. The touch probe is the hottest
 	// operation in the engine, and going through the borrowed slice
-	// headers costs three bounds checks plus reloads the compiler
-	// cannot elide (stores through one borrowed slice may alias the
-	// others). The raw-pointer form is sound because every index is
-	// provably in bounds: set <= icSetMask = sets-1 < len(ICMRU), and
-	// mru = set*ways + way < sets*ways = len(ICTags) since MRU entries
-	// only ever hold way indices in [0, ways) — both the model and
-	// touchSlow write int32(w) with w < ways. runCompiled checks the
-	// geometry (ways >= 1, len(ICTags) == sets*ways) once before
+	// headers costs bounds checks plus reloads the compiler cannot
+	// elide (stores through one borrowed slice may alias the others).
+	// The raw-pointer form is sound because every index is provably in
+	// bounds. A hint index h < cp.nHints <= len(hints). A scanned slot
+	// is set*ways + way with set <= icSetMask = sets-1 and way < ways,
+	// so it is < sets*ways = len(ICTags). A hinted slot is either 0
+	// (hints are zeroed whenever the VM binds a model) or a slot
+	// touchSlow returned for that same model, so it is < len(ICTags)
+	// too. runCompiled checks the geometry (ways >= 1,
+	// len(ICTags) == len(ICStamp) == sets*ways <= 65536) once before
 	// installing these.
-	icMRUP    unsafe.Pointer // &ICMRU[0]  ([]int32)
 	icTagsP   unsafe.Pointer // &ICTags[0] ([]int64)
 	icStampP  unsafe.Pointer // &ICStamp[0] ([]int64)
-	icSetMask uint64         // len(ICMRU)-1 == cpu icMask
+	icSetMask uint64         // sets-1 == cpu icMask
 	icShiftN  uint64
 	icWaysN   uintptr
 
@@ -290,18 +313,16 @@ func (vm *cvm) refillRSB() {
 	vm.st.Cycles += vm.rsbRefillCost
 }
 
-// touchProbe is the set-indexed MRU probe — the dominant icache path.
-// It is small enough to inline into every closure that touches a line;
-// misses fall to touchSlow. line must already be line-aligned. It uses
-// the pointer-hoisted arrays (see the cvm field comment for the
-// in-bounds argument); the masked set index is value-identical to the
-// model's `& icMask` since icSetMask == len(ICMRU)-1 == icMask.
-func (vm *cvm) touchProbe(line int64) bool {
-	set := uintptr(uint64(line>>vm.icShiftN) & vm.icSetMask)
-	mru := set*vm.icWaysN + uintptr(*(*int32)(unsafe.Add(vm.icMRUP, set*4)))
-	if *(*int64)(unsafe.Add(vm.icTagsP, mru*8)) == line {
+// touchHint is the dominant icache path, small enough to inline: it
+// touches the aligned line if hint h's slot holds it and otherwise
+// reports false for the caller to run touchSlow. A line is resident in
+// at most one slot, so the tag compare alone proves the hit. See the
+// cvm field comment for the in-bounds argument.
+func (vm *cvm) touchHint(h int, line int64) bool {
+	slot := uintptr(*(*uint16)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(vm.hints)), uintptr(h)*2)))
+	if *(*int64)(unsafe.Add(vm.icTagsP, slot*8)) == line {
 		vm.st.Stats.ICacheHits++
-		*(*int64)(unsafe.Add(vm.icStampP, mru*8)) = vm.st.ICTick
+		*(*int64)(unsafe.Add(vm.icStampP, slot*8)) = vm.st.ICTick
 		vm.st.ICTick++
 		return true
 	}
@@ -309,12 +330,14 @@ func (vm *cvm) touchProbe(line int64) bool {
 }
 
 // touchSlow is the tag scan and fill, mirroring Model.touchLineSlow for
-// power-of-two line sizes (EngineView guarantees icShift >= 0).
-func (vm *cvm) touchSlow(line int64) {
+// power-of-two line sizes (EngineView guarantees icShift >= 0). The
+// slot the line ends up in becomes hint h.
+func (vm *cvm) touchSlow(h int, line int64) {
 	set := uintptr(uint64(line>>vm.icShiftN) & vm.icSetMask)
 	ways := vm.icWaysN
-	tags := unsafe.Add(vm.icTagsP, set*ways*8)
-	stamp := unsafe.Add(vm.icStampP, set*ways*8)
+	base := set * ways
+	tags := unsafe.Add(vm.icTagsP, base*8)
+	stamp := unsafe.Add(vm.icStampP, base*8)
 	victim := uintptr(0)
 	victimStamp := *(*int64)(stamp)
 	for w := uintptr(0); w < ways; w++ {
@@ -322,7 +345,7 @@ func (vm *cvm) touchSlow(line int64) {
 			vm.st.Stats.ICacheHits++
 			*(*int64)(unsafe.Add(stamp, w*8)) = vm.st.ICTick
 			vm.st.ICTick++
-			*(*int32)(unsafe.Add(vm.icMRUP, set*4)) = int32(w)
+			vm.hints[h] = uint16(base + w)
 			return
 		}
 		if s := *(*int64)(unsafe.Add(stamp, w*8)); s < victimStamp {
@@ -334,28 +357,18 @@ func (vm *cvm) touchSlow(line int64) {
 	*(*int64)(unsafe.Add(tags, victim*8)) = line
 	*(*int64)(unsafe.Add(stamp, victim*8)) = vm.st.ICTick
 	vm.st.ICTick++
-	*(*int32)(unsafe.Add(vm.icMRUP, set*4)) = int32(victim)
+	vm.hints[h] = uint16(base + victim)
 }
 
-// touchN touches n consecutive lines starting at base (re-aligned, as
-// Model.TouchLines does — the model's line size may differ from the
-// 64-byte layout granularity blocks were compiled with). The probe is
-// written out with the slice headers hoisted to locals so they stay in
-// registers across the loop (stores through the borrowed slices defeat
-// the compiler's alias analysis otherwise).
-func (vm *cvm) touchN(base int64, n int) {
+// touchLines touches n consecutive lines starting at base (re-aligned,
+// as Model.TouchLines does — the model's line size may differ from the
+// 64-byte layout granularity blocks were compiled with) through hints
+// h..h+n-1.
+func (vm *cvm) touchLines(h int, base int64, n int) {
 	line := base & vm.alignMask
-	mruP, tagsP, stampP := vm.icMRUP, vm.icTagsP, vm.icStampP
-	shift, setMask, ways := vm.icShiftN, vm.icSetMask, vm.icWaysN
 	for i := 0; i < n; i++ {
-		set := uintptr(uint64(line>>shift) & setMask)
-		mru := set*ways + uintptr(*(*int32)(unsafe.Add(mruP, set*4)))
-		if *(*int64)(unsafe.Add(tagsP, mru*8)) == line {
-			vm.st.Stats.ICacheHits++
-			*(*int64)(unsafe.Add(stampP, mru*8)) = vm.st.ICTick
-			vm.st.ICTick++
-		} else {
-			vm.touchSlow(line)
+		if !vm.touchHint(h+i, line) {
+			vm.touchSlow(h+i, line)
 		}
 		line += vm.icLine
 	}
@@ -579,41 +592,20 @@ func (vm *cvm) runLeaf(lb *leafBody, retAddr int64, next cop) cop {
 	if vm.depth+1 >= vm.maxDepth {
 		return vm.depthFault(lb.name)
 	}
-	if n := int64(len(lb.segs)); vm.steps+n <= vm.maxSteps {
-		// Whole body fits in the fuel budget: one steps update, no
-		// per-segment checks. End state is identical to the careful
-		// path (charges are pure sums, touches stay in order).
-		vm.steps += n
-		for i := range lb.segs {
-			s := &lb.segs[i]
-			vm.st.Cycles += s.cost
-			vm.st.Stats.Instructions += s.count
-			if s.nLines == 1 {
-				line := s.lineBase & vm.alignMask
-				if !vm.touchProbe(line) {
-					vm.touchSlow(line)
-				}
-			} else {
-				vm.touchN(s.lineBase, s.nLines)
-			}
+	for i := range lb.segs {
+		s := &lb.segs[i]
+		vm.steps++
+		if vm.steps > vm.maxSteps {
+			return vm.fuelFault(lb.name)
 		}
-	} else {
-		for i := range lb.segs {
-			s := &lb.segs[i]
-			vm.steps++
-			if vm.steps > vm.maxSteps {
-				return vm.fuelFault(lb.name)
+		vm.st.Cycles += s.cost
+		vm.st.Stats.Instructions += s.count
+		if line := s.lineBase & vm.alignMask; s.nLines == 1 {
+			if !vm.touchHint(s.hint, line) {
+				vm.touchSlow(s.hint, line)
 			}
-			vm.st.Cycles += s.cost
-			vm.st.Stats.Instructions += s.count
-			if s.nLines == 1 {
-				line := s.lineBase & vm.alignMask
-				if !vm.touchProbe(line) {
-					vm.touchSlow(line)
-				}
-			} else {
-				vm.touchN(s.lineBase, s.nLines)
-			}
+		} else {
+			vm.touchLines(s.hint, s.lineBase, s.nLines)
 		}
 	}
 	vm.st.Stats.Returns++
@@ -688,7 +680,7 @@ func compileProgram(p *Program) *compiled {
 			numRegs:  src.numRegs,
 			numTrips: src.numTrips,
 			entries:  make([]cop, len(src.blocks)),
-			leaf:     leafOf(src),
+			leaf:     leafOf(cp, src),
 		}
 		if src.flat && f.leaf == nil && len(src.blocks) > 0 {
 			f.flatEntries = make([]cop, len(src.blocks))
@@ -721,7 +713,7 @@ func compileProgram(p *Program) *compiled {
 // profiler identifies as the hottest callee — and builds the inline
 // descriptor. Flatness guarantees no segment may fault, so every
 // segment charge is batched, exactly as the interpreter batches them.
-func leafOf(f *cfunc) *leafBody {
+func leafOf(cp *compiled, f *cfunc) *leafBody {
 	if !f.flat || len(f.blocks) == 0 {
 		return nil
 	}
@@ -744,10 +736,10 @@ func leafOf(f *cfunc) *leafBody {
 		return nil
 	}
 	segs := make([]leafSeg, 0, n)
-	segs = append(segs, leafSeg{int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines)})
+	segs = append(segs, leafSeg{int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines), cp.newHints(int(b.nLines))})
 	for i := 0; i < n-1; i++ {
 		ci := &b.instrs[i]
-		segs = append(segs, leafSeg{int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then)})
+		segs = append(segs, leafSeg{int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then), cp.newHints(int(ci.then))})
 	}
 	return &leafBody{name: f.name, segs: segs, retDef: ret.def}
 }
@@ -758,14 +750,15 @@ func leafOf(f *cfunc) *leafBody {
 // the segment's batched charge+touch or (for may-fault segments whose
 // runs are charged per event) an icache touch alone.
 type segPre struct {
-	name       string
-	preCost    int64 // charged run before a merged jump (cStep only)
-	preCount   int64
-	batched    bool // segment cannot fault: charge cost/count at entry
-	cost       int64
-	count      int64
-	lineBase   int64
-	nLines     int
+	name     string
+	preCost  int64 // charged run before a merged jump (cStep only)
+	preCount int64
+	batched  bool // segment cannot fault: charge cost/count at entry
+	cost     int64
+	count    int64
+	lineBase int64
+	nLines   int
+	hint     int // first of nLines slot hints
 }
 
 // fuse bakes a prefix in front of a body closure. The prefix and body
@@ -778,7 +771,7 @@ func fuse(pre *segPre, body cop) cop {
 	p := *pre
 	if p.batched && p.nLines == 1 && p.preCount == 0 {
 		// The dominant prefix: single-line, cannot-fault segment.
-		name, cost, count, lb := p.name, p.cost, p.count, p.lineBase
+		name, cost, count, lb, h := p.name, p.cost, p.count, p.lineBase, p.hint
 		return func(vm *cvm) cop {
 			vm.steps++
 			if vm.steps > vm.maxSteps {
@@ -786,9 +779,8 @@ func fuse(pre *segPre, body cop) cop {
 			}
 			vm.st.Cycles += cost
 			vm.st.Stats.Instructions += count
-			line := lb & vm.alignMask
-			if !vm.touchProbe(line) {
-				vm.touchSlow(line)
+			if line := lb & vm.alignMask; !vm.touchHint(h, line) {
+				vm.touchSlow(h, line)
 			}
 			return body(vm)
 		}
@@ -806,13 +798,12 @@ func fuse(pre *segPre, body cop) cop {
 			vm.st.Cycles += p.cost
 			vm.st.Stats.Instructions += p.count
 		}
-		if p.nLines == 1 {
-			line := p.lineBase & vm.alignMask
-			if !vm.touchProbe(line) {
-				vm.touchSlow(line)
+		if line := p.lineBase & vm.alignMask; p.nLines == 1 {
+			if !vm.touchHint(p.hint, line) {
+				vm.touchSlow(p.hint, line)
 			}
 		} else {
-			vm.touchN(p.lineBase, p.nLines)
+			vm.touchLines(p.hint, p.lineBase, p.nLines)
 		}
 		return body(vm)
 	}
@@ -852,6 +843,7 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 		count:    int64(b.segCount),
 		lineBase: int64(b.lineBase),
 		nLines:   int(b.nLines),
+		hint:     cp.newHints(int(b.nLines)),
 	}
 	var items []item
 	pending := entryPre
@@ -865,6 +857,7 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 				count:    int64(ci.els),
 				lineBase: int64(ci.addr),
 				nLines:   int(ci.then),
+				hint:     cp.newHints(int(ci.then)),
 			}
 			if ci.charged {
 				sp.preCost = int64(ci.preCost)
@@ -1382,24 +1375,27 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 		// First run against this model: take the full borrowed view and
 		// hoist the cost parameters. Parameters and geometry are fixed at
 		// Model construction, so later runs only re-sync the scalars the
-		// model may have evolved between runs.
+		// model may have evolved between runs. A view refused below
+		// leaves vm.st aliasing this model, so no model is bound until
+		// the bind completes.
+		vm.model = nil
 		if !model.EngineView(&vm.st) {
 			return errEngineUnavailable
 		}
-		// Geometry gate for the raw-pointer icache probe (see the cvm
-		// field comment): a degenerate cache would break the in-bounds
-		// argument, so treat it as not inlinable.
-		if vm.st.ICWays < 1 || len(vm.st.ICMRU) == 0 ||
-			len(vm.st.ICTags) != len(vm.st.ICMRU)*vm.st.ICWays ||
-			len(vm.st.ICStamp) != len(vm.st.ICTags) ||
+		// Geometry gate for the raw-pointer icache probe and the uint16
+		// slot hints: a cache outside it would break the in-bounds
+		// argument (cvm field comment), so treat it as not inlinable.
+		if sets := vm.st.ICMask + 1; vm.st.ICWays < 1 || sets < 1 ||
+			int64(len(vm.st.ICTags)) != sets*int64(vm.st.ICWays) ||
+			len(vm.st.ICStamp) != len(vm.st.ICTags) || len(vm.st.ICTags) > 1<<16 ||
 			len(vm.st.RSB) != vm.st.RSBDepth || vm.st.RSBDepth < 1 {
 			return errEngineUnavailable
 		}
+		clear(vm.hints)
 		vm.rsbP = unsafe.Pointer(&vm.st.RSB[0])
-		vm.icMRUP = unsafe.Pointer(&vm.st.ICMRU[0])
 		vm.icTagsP = unsafe.Pointer(&vm.st.ICTags[0])
 		vm.icStampP = unsafe.Pointer(&vm.st.ICStamp[0])
-		vm.icSetMask = uint64(len(vm.st.ICMRU) - 1)
+		vm.icSetMask = uint64(vm.st.ICMask)
 		vm.icShiftN = uint64(vm.st.ICShift)
 		vm.icWaysN = uintptr(vm.st.ICWays)
 		par := &model.P
@@ -1432,6 +1428,9 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	}
 	cp := mc.Prog.compiledProgram()
 	vm.cp = cp
+	if len(vm.hints) < cp.nHints {
+		vm.hints = make([]uint16, cp.nHints)
+	}
 	vm.src = mc.src
 	vm.res = mc.Res
 	vm.onResolve = mc.OnResolve

@@ -58,7 +58,8 @@ func observedRun(mc *Machine, p *Program, entry string) (string, string, int64, 
 // checkPair runs reps paired executions and fails on the first
 // divergence. Models are not reset between reps, so warm predictor
 // state (BTB/PHT/RSB/icache) must also stay in lockstep: any drift
-// shows up as a cycle mismatch in a later rep.
+// shows up as a cycle mismatch in a later rep, and the models' contents
+// are compared directly after every rep.
 func checkPair(t *testing.T, pair *enginePair, p *Program, entry string, reps int) {
 	t.Helper()
 	for r := 0; r < reps; r++ {
@@ -76,6 +77,7 @@ func checkPair(t *testing.T, pair *enginePair, p *Program, entry string, reps in
 		if refStats != candStats {
 			t.Fatalf("%s rep %d: stats diverged:\n  interp:   %+v\n  compiled: %+v", entry, r, refStats, candStats)
 		}
+		sameModelState(t, fmt.Sprintf("%s rep %d", entry, r), pair.ref.CPU, pair.cand.CPU)
 	}
 }
 
@@ -371,17 +373,20 @@ func fuzzResolver(r *fz, p *Program, sites []ir.SiteID, nFuncs int) (*Resolver, 
 
 // FuzzCompiledEquivalence generates random programs and seeds and
 // asserts the compiled engine's resolve-trace digest, outcome, cycle
-// count and full predictor statistics are byte-identical to the
-// interpreter's — including under tight fuel and depth budgets that
-// fault mid-run.
+// count, full predictor statistics and model contents are
+// byte-identical to the interpreter's — including under tight fuel and
+// depth budgets that fault mid-run. geom selects the i-cache: 0 the
+// default, otherwise one of smallICaches, where most touches evict.
 func FuzzCompiledEquivalence(f *testing.F) {
-	f.Add(uint64(1), int64(1), uint8(0), uint16(0))
-	f.Add(uint64(2), int64(99), uint8(6), uint16(120))
-	f.Add(uint64(3), int64(7), uint8(0), uint16(40))
-	f.Add(uint64(12345), int64(-5), uint8(3), uint16(0))
-	f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9))
-	f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500))
-	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16) {
+	f.Add(uint64(1), int64(1), uint8(0), uint16(0), uint8(0))
+	f.Add(uint64(2), int64(99), uint8(6), uint16(120), uint8(1))
+	f.Add(uint64(3), int64(7), uint8(0), uint16(40), uint8(2))
+	f.Add(uint64(12345), int64(-5), uint8(3), uint16(0), uint8(3))
+	f.Add(uint64(77), int64(1<<40), uint8(2), uint16(9), uint8(0))
+	f.Add(uint64(0xdeadbeef), int64(42), uint8(64), uint16(500), uint8(1))
+	f.Add(uint64(9), int64(3), uint8(0), uint16(0), uint8(2))
+	f.Add(uint64(10), int64(4), uint8(0), uint16(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, runSeed int64, maxDepth uint8, maxSteps uint16, geom uint8) {
 		mod, sites := genModule(seed)
 		if err := ir.Verify(mod, ir.VerifyOptions{}); err != nil {
 			t.Fatalf("generated module does not verify: %v", err)
@@ -398,6 +403,10 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		// maxDepth 0 keeps the default; small values exercise depth
 		// faults. maxSteps likewise for fuel faults.
 		pair := newEnginePair(p, res, runSeed, int(maxDepth), int64(maxSteps))
+		if g := int(geom) % (len(smallICaches) + 1); g > 0 {
+			params := smallICaches[g-1].params()
+			pair.ref.CPU, pair.cand.CPU = cpu.New(params), cpu.New(params)
+		}
 		checkPair(t, pair, p, "f0", 3)
 	})
 }
