@@ -268,28 +268,10 @@ func (m *Model) Micros() float64 {
 	return float64(m.Cycles) / (m.P.FreqGHz * 1e3)
 }
 
-// Straightline charges the pre-aggregated cost of a basic block's
-// non-control instructions and touches its instruction-cache lines.
-// lineBase is the address of the block's first line; nLines the number of
-// consecutive lines the block spans.
-func (m *Model) Straightline(cost int64, nInstr int64, lineBase int64, nLines int) {
-	m.Cycles += cost
-	m.Stats.Instructions += nInstr
-	line := lineBase &^ (m.P.ICacheLine - 1)
-	if nLines == 1 { // the common case: small block within one line
-		m.touchLine(line)
-		return
-	}
-	stride := m.P.ICacheLine
-	for i := 0; i < nLines; i++ {
-		m.touchLine(line)
-		line += stride
-	}
-}
-
 // AddStraightline charges pre-aggregated instruction cost without
-// touching the cache; the interpreter pairs it with TouchLines at block
-// entry.
+// touching the cache; the interpreter charges each event's preceding
+// straight-line run with it and touches the block's lines with
+// TouchLines at block entry.
 func (m *Model) AddStraightline(cost, nInstr int64) {
 	m.Cycles += cost
 	m.Stats.Instructions += nInstr
@@ -299,22 +281,10 @@ func (m *Model) AddStraightline(cost, nInstr int64) {
 // base (rounded down to a line boundary).
 func (m *Model) TouchLines(base int64, n int) {
 	line := base &^ (m.P.ICacheLine - 1)
-	if n == 1 {
-		m.touchLine(line)
-		return
-	}
-	stride := m.P.ICacheLine
 	for i := 0; i < n; i++ {
 		m.touchLine(line)
-		line += stride
+		line += m.P.ICacheLine
 	}
-}
-
-// TouchLine touches the single instruction-cache line containing base.
-// It is the one-line specialization of TouchLines, skipping the loop
-// set-up for the dominant single-line block.
-func (m *Model) TouchLine(base int64) {
-	m.touchLine(base &^ (m.P.ICacheLine - 1))
 }
 
 func (m *Model) touchLine(line int64) {

@@ -1,7 +1,7 @@
 // Threaded-code compilation tier.
 //
-// The packed-event interpreter (interp.go) still pays a switch dispatch,
-// a bounds-checked event fetch and several cpu.Model method calls per
+// The reference interpreter (interp.go) pays a switch dispatch, a
+// bounds-checked event fetch and several cpu.Model method calls per
 // control-flow event. This file adds a second execution tier that
 // removes all three: each cblock is pre-compiled into a chain of Go
 // closures (classic threaded code — the standard pure-Go answer to
@@ -22,6 +22,16 @@
 // equivalence tests, FuzzCompiledEquivalence and the diffcheck
 // engine-vs-engine gate all enforce.
 //
+// The tier owns two decisions the Program leaves open (planBlock):
+//
+//   - segment batching: a block with no resolve and no call can neither
+//     fault nor suspend mid-block, so it charges the sum of its runs at
+//     block entry instead of one run per event. The charges are
+//     order-independent additions, so the batch is exact.
+//   - superblocks: unconditional-jump chains become one closure chain,
+//     each jump replaced by a seam that performs the target's
+//     block-entry accounting.
+//
 // Superinstruction fusion: profiling identified the hot event shapes
 // on the syscall path — straight-line segments ending
 // in a return ("step,ret" leaf helpers), direct calls into those
@@ -36,8 +46,8 @@
 //     skipping the register round-trip decode.
 //   - block-entry accounting (step/fuel check plus batched segment
 //     charge or per-event icache touch) is a compile-time prefix baked
-//     into the first event's closure, as is every superblock seam
-//     (cStep) for the event that follows it.
+//     into the first event's closure, as is every superblock seam for
+//     the event that follows it.
 //
 // I-cache touches go through per-site slot hints: compileProgram gives
 // every touch site one hint index per line it touches, and each VM
@@ -49,14 +59,14 @@
 // (ParseEngine("") selects it); a bare Machine still starts on the
 // interpreter, the reference tier the equivalence gates compare
 // against. It is conservative: machines with a Recorder, ICallHook,
-// Injector, replaced RNG or ExactAccounting fall back to the
-// interpreter silently — those paths observe per-event execution and
-// the compiled chain does not expose it. OnResolve is supported
-// (diffcheck depends on it).
+// Injector or replaced RNG fall back to the interpreter silently —
+// those paths observe per-event execution and the compiled chain does
+// not expose it. OnResolve is supported (diffcheck depends on it).
 package interp
 
 import (
 	"errors"
+	"slices"
 	"unsafe"
 
 	"repro/internal/cpu"
@@ -68,12 +78,12 @@ import (
 type Engine uint8
 
 const (
-	// EngineInterp is the packed-event interpreter — the reference tier
-	// and the zero value, so a Machine runs on it unless told otherwise.
+	// EngineInterp is the per-event interpreter — the reference tier and
+	// the zero value, so a Machine runs on it unless told otherwise.
 	EngineInterp Engine = iota
 	// EngineCompiled is the threaded-code tier. Machines that carry
 	// state the compiled chain cannot observe (recorder, hook, injector,
-	// replaced RNG, ExactAccounting) fall back to the interpreter.
+	// replaced RNG) fall back to the interpreter.
 	EngineCompiled
 )
 
@@ -140,27 +150,18 @@ type cfn struct {
 	// flatEntries/flatEntry0 are a second compilation of call-free
 	// functions whose return ends a nested driver loop instead of
 	// popping a frame; call sites run them on scratch registers with no
-	// frame push at all (the compiled analogue of the interpreter's
-	// frameless runFlat path). nil for functions that make calls.
+	// frame push at all. nil for functions that make calls.
 	flatEntries []cop
 	flatEntry0  cop
 }
 
-// leafSeg is one straight-line segment of a leaf body: a block entry or
-// superblock seam — one step/fuel sequence point plus its batched
-// charge and icache touch.
-type leafSeg struct {
-	cost, count int64
-	lineBase    int64
-	nLines      int
-	hint        int // first of nLines slot hints
-}
-
 // leafBody is the data-driven description of a leaf function, executed
-// inline at fused call sites.
+// inline at fused call sites. Each segment is a batched block entry or
+// superblock seam: one step/fuel sequence point plus its charge and
+// icache touch.
 type leafBody struct {
 	name   string
-	segs   []leafSeg
+	segs   []*segPre
 	retDef ir.Defense
 }
 
@@ -584,16 +585,16 @@ func (vm *cvm) installFrame(cf *cfn, d int, retAddr int64) {
 }
 
 // runLeaf executes a leaf body inline at a call site: the exact
-// observable sequence of runFlat for this shape — depth check, one
-// step/fuel sequence point plus batched charge and icache touch per
-// segment, then the return — with no frame and no dispatch. The caller
-// has already charged the call itself. next resumes the caller.
+// observable sequence of entering the callee and running it — depth
+// check, one step/fuel sequence point plus batched charge and icache
+// touch per segment, then the return — with no frame and no dispatch.
+// The caller has already charged the call itself. next resumes the
+// caller.
 func (vm *cvm) runLeaf(lb *leafBody, retAddr int64, next cop) cop {
 	if vm.depth+1 >= vm.maxDepth {
 		return vm.depthFault(lb.name)
 	}
-	for i := range lb.segs {
-		s := &lb.segs[i]
+	for _, s := range lb.segs {
 		vm.steps++
 		if vm.steps > vm.maxSteps {
 			return vm.fuelFault(lb.name)
@@ -629,8 +630,8 @@ func (vm *cvm) runLeaf(lb *leafBody, retAddr int64, next cop) cop {
 // locals, the callee runs on the VM's scratch file through a nested
 // driver loop over its flat-compiled chain (whose return closure ends
 // the loop instead of popping a frame), and the caller's pointers are
-// put back. Mirrors the interpreter's runFlat, including the depth
-// check. next resumes the caller; nil propagates a fault.
+// put back. Observably a framed call, including the depth check. next
+// resumes the caller; nil propagates a fault.
 func (vm *cvm) runFlatInline(cf *cfn, retAddr int64, next cop) cop {
 	if vm.depth+1 >= vm.maxDepth {
 		return vm.depthFault(cf.name)
@@ -671,24 +672,47 @@ func compileProgram(p *Program) *compiled {
 		funcs: make([]cfn, len(p.funcs)),
 		addrs: make([]int64, len(p.funcs)),
 	}
+	// Pass 1 runs over every function before any closure is built: call
+	// sites compile against their callee's leaf or flat form.
+	plans := make([][]plan, len(p.funcs))
 	for i := range p.funcs {
 		src := &p.funcs[i]
 		cp.addrs[i] = src.addr
+		segs := make([]segment, len(src.blocks))
+		callFree := len(src.blocks) > 0
+		for bi := range src.blocks {
+			segs[bi] = segmentOf(&src.blocks[bi])
+			callFree = callFree && !segs[bi].calls
+		}
+		plans[i] = make([]plan, len(src.blocks))
+		for bi := range src.blocks {
+			plans[i][bi] = planBlock(cp, src, segs, int32(bi))
+		}
 		f := cfn{
 			name:     src.name,
 			index:    int32(i),
 			numRegs:  src.numRegs,
 			numTrips: src.numTrips,
 			entries:  make([]cop, len(src.blocks)),
-			leaf:     leafOf(cp, src),
 		}
-		if src.flat && f.leaf == nil && len(src.blocks) > 0 {
-			f.flatEntries = make([]cop, len(src.blocks))
+		if callFree {
+			if f.leaf = leafOf(src.name, plans[i][0].items); f.leaf == nil {
+				f.flatEntries = make([]cop, len(src.blocks))
+			}
 		}
 		cp.funcs[i] = f
 	}
 	for i := range p.funcs {
-		compileFn(cp, p, int32(i))
+		src, f := &p.funcs[i], &cp.funcs[i]
+		for bi, pl := range plans[i] {
+			f.entries[bi] = compileBlock(cp, src, bi, pl, f.entries, false)
+			// Flat functions get a second chain whose return ends a nested
+			// driver loop; branch closures target the flat entries so
+			// control never escapes into the framed chain mid-run.
+			if f.flatEntries != nil {
+				f.flatEntries[bi] = compileBlock(cp, src, bi, pl, f.flatEntries, true)
+			}
+		}
 	}
 	for i := range cp.funcs {
 		f := &cp.funcs[i]
@@ -708,40 +732,33 @@ func compileProgram(p *Program) *compiled {
 	return cp
 }
 
-// leafOf recognises functions whose merged entry chain is pure
-// straight-line code ending in a return — the "step,ret" shape the
-// profiler identifies as the hottest callee — and builds the inline
-// descriptor. Flatness guarantees no segment may fault, so every
-// segment charge is batched, exactly as the interpreter batches them.
-func leafOf(cp *compiled, f *cfunc) *leafBody {
-	if !f.flat || len(f.blocks) == 0 {
-		return nil
-	}
-	b := &f.blocks[0]
-	n := len(b.instrs)
-	if n == 0 || b.instrs[n-1].kind != cRet {
-		return nil
-	}
-	ret := &b.instrs[n-1]
-	if ret.charged && ret.preCount != 0 {
-		return nil // per-event segment; keep the generic path
-	}
-	for i := 0; i < n-1; i++ {
+// segment is what the compiled tier derives from one block's event list.
+type segment struct {
+	cost, count int64 // every run in the block: each event's pre plus the tail
+	// mayFault: a resolve or call can fault or suspend mid-block, so the
+	// block's runs are charged at their events rather than batched at
+	// entry, and a mid-block trap never over-charges.
+	mayFault   bool
+	calls      bool // a direct or indirect call
+	terminated bool // an event ends the block; only such blocks merge
+}
+
+func segmentOf(b *cblock) segment {
+	s := segment{cost: int64(b.tailCost), count: int64(b.tailCount)}
+	for i := range b.instrs {
 		ci := &b.instrs[i]
-		if ci.kind != cStep || ci.useFlag || (ci.charged && ci.preCount != 0) {
-			return nil
+		s.cost += int64(ci.preCost)
+		s.count += int64(ci.preCount)
+		switch ci.kind {
+		case cResolve:
+			s.mayFault = true
+		case cCall, cICall:
+			s.mayFault, s.calls = true, true
+		case cBr, cJmp, cSwitch, cRet:
+			s.terminated = true
 		}
 	}
-	if b.mayFault {
-		return nil
-	}
-	segs := make([]leafSeg, 0, n)
-	segs = append(segs, leafSeg{int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines), cp.newHints(int(b.nLines))})
-	for i := 0; i < n-1; i++ {
-		ci := &b.instrs[i]
-		segs = append(segs, leafSeg{int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then), cp.newHints(int(ci.then))})
-	}
-	return &leafBody{name: f.name, segs: segs, retDef: ret.def}
+	return s
 }
 
 // segPre describes the accounting prefix baked before an event's
@@ -751,7 +768,7 @@ func leafOf(cp *compiled, f *cfunc) *leafBody {
 // runs are charged per event) an icache touch alone.
 type segPre struct {
 	name     string
-	preCost  int64 // charged run before a merged jump (cStep only)
+	preCost  int64 // seam only: the jump's run, when its segment is per-event
 	preCount int64
 	batched  bool // segment cannot fault: charge cost/count at entry
 	cost     int64
@@ -759,6 +776,119 @@ type segPre struct {
 	lineBase int64
 	nLines   int
 	hint     int // first of nLines slot hints
+}
+
+// entryPre builds the block-entry prefix of block b.
+func (cp *compiled) entryPre(name string, b *cblock, s *segment) *segPre {
+	return &segPre{
+		name:     name,
+		batched:  !s.mayFault,
+		cost:     s.cost,
+		count:    s.count,
+		lineBase: int64(b.lineBase),
+		nLines:   int(b.nLines),
+		hint:     cp.newHints(int(b.nLines)),
+	}
+}
+
+// item is one (prefix, event) pair of a block's chain. pre is nil within
+// a segment; an item without an event is a standalone prefix (a block
+// holding nothing but a merged jump).
+type item struct {
+	pre     *segPre
+	ci      *cinstr
+	charged bool // ci's preceding run is charged at the event (per-event segment)
+}
+
+// plan is pass 1's output for one block: its chain of items and the run
+// the fall-off closure charges before the fell-through trap (zero when
+// the chain ends in a terminator or the batched entry charged it).
+type plan struct {
+	items               []item
+	tailCost, tailCount int64
+}
+
+// isTerminator reports whether an event ends its block (execution never
+// continues past it within the block).
+func isTerminator(k ckind) bool {
+	return k == cBr || k == cJmp || k == cSwitch || k == cRet
+}
+
+// planBlock is pass 1 of block compilation: it splits block bi's events
+// into (prefix, event) items and follows unconditional jumps into a
+// superblock. A cJmp to a block that ends in a terminator and is not
+// already in the chain becomes a seam — the target's block-entry prefix
+// (step/fuel check, batched charge or icache touch), carrying the jump's
+// own run when the jumping segment charges per event — and the walk
+// continues with the target's events.
+//
+// The merge is observationally exact: the seam fires at the same
+// sequence point the target's block entry would, so fuel accounting and
+// cpu.Model update order are unchanged, and the target stays
+// addressable for every other branch. Chains are cycle-guarded and
+// capped at maxChain merges; a target without a terminator is never
+// merged, so only the chain's first block can fall through, keeping its
+// own tail charge.
+func planBlock(cp *compiled, src *cfunc, segs []segment, bi int32) plan {
+	const maxChain = 32
+	chain := []int32{bi}
+	pending := cp.entryPre(src.name, &src.blocks[bi], &segs[bi])
+	var items []item
+	for cur := bi; ; {
+		s := &segs[cur]
+		next := int32(-1)
+		for ii := range src.blocks[cur].instrs {
+			ci := &src.blocks[cur].instrs[ii]
+			if ci.kind == cJmp && len(chain) <= maxChain && segs[ci.then].terminated && !slices.Contains(chain, ci.then) {
+				seam := cp.entryPre(src.name, &src.blocks[ci.then], &segs[ci.then])
+				if s.mayFault {
+					seam.preCost, seam.preCount = int64(ci.preCost), int64(ci.preCount)
+				}
+				if pending != nil {
+					items = append(items, item{pre: pending})
+				}
+				pending, next = seam, ci.then
+				break
+			}
+			items = append(items, item{pre: pending, ci: ci, charged: s.mayFault})
+			pending = nil
+			if isTerminator(ci.kind) {
+				return plan{items: items}
+			}
+		}
+		if next < 0 {
+			if pending != nil {
+				items = append(items, item{pre: pending})
+			}
+			pl := plan{items: items}
+			if s.mayFault {
+				pl.tailCost, pl.tailCount = int64(src.blocks[cur].tailCost), int64(src.blocks[cur].tailCount)
+			}
+			return pl
+		}
+		chain = append(chain, next)
+		cur = next
+	}
+}
+
+// leafOf recognises functions whose block-0 chain is pure straight-line
+// code ending in a return — the "step,ret" shape the profiler identifies
+// as the hottest callee — and builds the inline descriptor: every item
+// but the last is a standalone batched prefix, and the last is the
+// return behind its own batched prefix.
+func leafOf(name string, items []item) *leafBody {
+	last := items[len(items)-1]
+	if last.ci == nil || last.ci.kind != cRet {
+		return nil
+	}
+	segs := make([]*segPre, len(items))
+	for k, it := range items {
+		if (it.ci != nil && k < len(items)-1) || it.pre == nil || !it.pre.batched || it.pre.preCount != 0 {
+			return nil
+		}
+		segs[k] = it.pre
+	}
+	return &leafBody{name: name, segs: segs, retDef: last.ci.def}
 }
 
 // fuse bakes a prefix in front of a body closure. The prefix and body
@@ -809,91 +939,20 @@ func fuse(pre *segPre, body cop) cop {
 	}
 }
 
-func compileFn(cp *compiled, p *Program, fi int32) {
-	src := &p.funcs[fi]
-	f := &cp.funcs[fi]
-	for bi := range src.blocks {
-		f.entries[bi] = compileBlock(cp, src, f, bi, f.entries, false)
-	}
-	// Flat functions get a second chain whose return ends a nested
-	// driver loop; branch closures target the flat entries so control
-	// never escapes into the framed chain mid-run.
-	if f.flatEntries != nil {
-		for bi := range src.blocks {
-			f.flatEntries[bi] = compileBlock(cp, src, f, bi, f.flatEntries, true)
-		}
-	}
-}
-
-func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatRet bool) cop {
-	b := &src.blocks[bi]
+// compileBlock is pass 2 of block compilation: it turns bi's plan into
+// closures, back-to-front so each captures its successor directly.
+// Resolve+icall pairs fuse into one closure.
+func compileBlock(cp *compiled, src *cfunc, bi int, pl plan, entries []cop, flatRet bool) cop {
 	name := src.name
-
-	// Pass 1: split the merged event list into (prefix, event) pairs.
-	// cStep events become the prefix of the event that follows them;
-	// the block's own entry accounting is the prefix of the first.
-	type item struct {
-		pre *segPre
-		ci  *cinstr
-	}
-	entryPre := &segPre{
-		name:     name,
-		batched:  !b.mayFault,
-		cost:     int64(b.segCost),
-		count:    int64(b.segCount),
-		lineBase: int64(b.lineBase),
-		nLines:   int(b.nLines),
-		hint:     cp.newHints(int(b.nLines)),
-	}
-	var items []item
-	pending := entryPre
-	for ii := range b.instrs {
-		ci := &b.instrs[ii]
-		if ci.kind == cStep {
-			sp := &segPre{
-				name:     name,
-				batched:  !ci.useFlag,
-				cost:     int64(ci.cost),
-				count:    int64(ci.els),
-				lineBase: int64(ci.addr),
-				nLines:   int(ci.then),
-				hint:     cp.newHints(int(ci.then)),
-			}
-			if ci.charged {
-				sp.preCost = int64(ci.preCost)
-				sp.preCount = int64(ci.preCount)
-			}
-			if pending != nil {
-				// Two seams back-to-back cannot happen (a cStep is always
-				// followed by the target's events before the next seam),
-				// but keep the earlier prefix as a standalone op if it does.
-				items = append(items, item{pre: pending})
-			}
-			pending = sp
-			continue
-		}
-		items = append(items, item{pre: pending, ci: ci})
-		pending = nil
-	}
-	if pending != nil {
-		items = append(items, item{pre: pending})
-	}
-
-	// Fall-off closure: reached only when the block has no terminator.
-	tailBI := bi
-	chargeTail := b.mayFault && b.tailCount != 0
-	tc, tn := int64(b.tailCost), int64(b.tailCount)
+	// Fall-off closure: reached only when the chain has no terminator.
+	tc, tn := pl.tailCost, pl.tailCount
 	next := cop(func(vm *cvm) cop {
-		if chargeTail {
-			vm.st.Cycles += tc
-			vm.st.Stats.Instructions += tn
-		}
-		vm.err = trap(name, "interp: %s: block %d fell through without terminator", name, tailBI)
+		vm.st.Cycles += tc
+		vm.st.Stats.Instructions += tn
+		vm.err = trap(name, "interp: %s: block %d fell through without terminator", name, bi)
 		return nil
 	})
-
-	// Pass 2: build closures back-to-front so each captures its
-	// successor directly. Resolve+icall pairs fuse into one closure.
+	items := pl.items
 	for k := len(items) - 1; k >= 0; k-- {
 		it := items[k]
 		if it.ci == nil {
@@ -910,29 +969,30 @@ func compileBlock(cp *compiled, src *cfunc, f *cfn, bi int, entries []cop, flatR
 		if it.ci.kind == cResolve && k+1 < len(items) &&
 			items[k+1].ci != nil && items[k+1].ci.kind == cICall &&
 			items[k+1].pre == nil && items[k+1].ci.reg == it.ci.reg {
-			next = genResolveICall(cp, f, it.pre, it.ci, items[k+1].ci, name, next)
+			next = genResolveICall(cp, it, items[k+1], name, next)
 			continue
 		}
-		next = genEvent(cp, src, f, it.pre, it.ci, name, next, entries, flatRet)
+		next = genEvent(cp, src, it, name, next, entries, flatRet)
 	}
 	return next
 }
 
 // genResolveICall emits the fused resolve+icall superinstruction.
-func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr, name string, next cop) cop {
+func genResolveICall(cp *compiled, resIt, icIt item, name string, next cop) cop {
+	res, ic := resIt.ci, icIt.ci
 	// resolve constants
 	orig, site, reg := res.orig, res.site, int(res.reg)
 	resCost := int64(res.cost)
-	resPreCost, resPreCount := chargeOf(res)
+	resPreCost, resPreCount := chargeOf(resIt)
 	// icall constants (the run between resolve and icall, if any)
-	icPreCost, icPreCount := chargeOf(ic)
+	icPreCost, icPreCount := chargeOf(icIt)
 	icAddr := int64(ic.addr)
 	icRet := int64(ic.els)
 	icArgs := int64(ic.args)
 	icSite := ic.site
 	icDef := ic.def
 	defNone := icDef == ir.DefNone
-	return fuse(pre, func(vm *cvm) cop {
+	return fuse(resIt.pre, func(vm *cvm) cop {
 		if resPreCount != 0 {
 			vm.st.Cycles += resPreCost
 			vm.st.Stats.Instructions += resPreCount
@@ -988,17 +1048,18 @@ func genResolveICall(cp *compiled, f *cfn, pre *segPre, res *cinstr, ic *cinstr,
 	})
 }
 
-// chargeOf returns an event's per-event run charge (zero unless the
-// segment is in per-event accounting mode).
-func chargeOf(ci *cinstr) (int64, int64) {
-	if ci.charged && ci.preCount != 0 {
-		return int64(ci.preCost), int64(ci.preCount)
+// chargeOf returns an item's per-event run charge (zero unless its
+// segment charges per event).
+func chargeOf(it item) (int64, int64) {
+	if it.charged && it.ci.preCount != 0 {
+		return int64(it.ci.preCost), int64(it.ci.preCount)
 	}
 	return 0, 0
 }
 
-func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name string, next cop, entries []cop, flatRet bool) cop {
-	pc, pn := chargeOf(ci)
+func genEvent(cp *compiled, src *cfunc, it item, name string, next cop, entries []cop, flatRet bool) cop {
+	pre, ci := it.pre, it.ci
+	pc, pn := chargeOf(it)
 	switch ci.kind {
 	case cResolve:
 		orig, site, reg := ci.orig, ci.site, int(ci.reg)
@@ -1333,7 +1394,7 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 			return fr.cont
 		})
 	}
-	// cStep never reaches here (pass 1 folds it into prefixes).
+	// Unreachable: Compile emits only the kinds above.
 	return fuse(pre, func(vm *cvm) cop {
 		vm.err = trap(name, "interp: %s: unknown compiled event", name)
 		return nil
@@ -1345,11 +1406,9 @@ func genEvent(cp *compiled, src *cfunc, f *cfn, pre *segPre, ci *cinstr, name st
 // compiledEligible reports whether this machine's configuration can run
 // on the compiled tier. Recorder, hook and injector observe per-event
 // execution the closure chain does not expose; a replaced RNG breaks
-// the concrete-source draw path; ExactAccounting exists to exercise the
-// interpreter's per-event charging. OnResolve is supported.
+// the concrete-source draw path. OnResolve is supported.
 func (mc *Machine) compiledEligible() bool {
-	return mc.Rec == nil && mc.Hook == nil && mc.Inject == nil &&
-		!mc.ExactAccounting && mc.RNG == mc.ownRNG
+	return mc.Rec == nil && mc.Hook == nil && mc.Inject == nil && mc.RNG == mc.ownRNG
 }
 
 // runCompiled executes one entry on the threaded-code tier. It returns
@@ -1461,7 +1520,6 @@ func (mc *Machine) runCompiled(fi int32, entryRetAddr int64) error {
 	for op != nil {
 		op = op(vm)
 	}
-	mc.steps = vm.steps
 	model.EngineRestore(&vm.st)
 	err := vm.err
 	vm.err = nil

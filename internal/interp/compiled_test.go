@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -157,10 +158,10 @@ func TestCompiledEquivalenceFaults(t *testing.T) {
 	})
 }
 
-// TestCompiledFallback pins the eligibility rule: machines carrying
-// interpreter-only state (a recorder, a replaced RNG, ExactAccounting)
-// run the interpreter even with Engine=EngineCompiled, and behave
-// identically to an explicit interpreter machine.
+// TestCompiledFallback pins the eligibility rule: a machine carrying
+// interpreter-only state (here a recorder) runs the interpreter even
+// with Engine=EngineCompiled, and behaves identically to an explicit
+// interpreter machine.
 func TestCompiledFallback(t *testing.T) {
 	k, err := kernel.Generate(kernel.Config{Seed: 1})
 	if err != nil {
@@ -191,12 +192,175 @@ func TestCompiledFallback(t *testing.T) {
 	if refProf.Hash() != candProf.Hash() {
 		t.Fatal("recorder output diverged between fallback and interpreter machines")
 	}
+}
 
-	mc := NewMachine(p, 9)
-	mc.Engine = EngineCompiled
-	mc.ExactAccounting = true
-	if mc.compiledEligible() {
-		t.Fatal("ExactAccounting machine must not be compiled-eligible")
+// TestCompiledSuperblockEdges covers superblock shapes genModule never
+// emits: a jump chain past the 32-merge cap, jump-only cycles that must
+// fuel-fault at the same step with the same partial charges, and a chain
+// whose merged target holds a resolve, so a may-fault segment (charged
+// per event) sits between batched ones; a jump to a block without a
+// terminator must not merge and that block's tail run must be charged
+// before the fell-through trap. shape checks that block 0 of fn
+// really compiles to the superblock the case is about.
+func TestCompiledSuperblockEdges(t *testing.T) {
+	leaves := func(mod *ir.Module) {
+		for _, name := range []string{"t1", "t2"} {
+			b := ir.NewFunction(mod, name, 0)
+			b.ALU(3)
+			b.Ret()
+		}
+	}
+	// chain40: entry calls a function whose 40 blocks each jump to the
+	// next; block sizes vary so some span several i-cache lines.
+	chain40 := func() (*ir.Module, ir.SiteID) {
+		mod := ir.NewModule()
+		b := ir.NewFunction(mod, "f0", 0)
+		b.ALU(2)
+		b.Call("chain", 0)
+		b.Call("chain", 1)
+		b.Ret()
+		c := ir.NewFunction(mod, "chain", 0)
+		for i := 0; i < 40; i++ {
+			c.ALU(1 + (i*7)%40)
+			next := fmt.Sprintf("b%d", i+1)
+			c.Jmp(next)
+			c.NewBlock(next)
+		}
+		c.ALU(2)
+		c.Ret()
+		return mod, 0
+	}
+	// cycle: entry calls spin, whose three blocks jump in a ring forever.
+	cycle := func() (*ir.Module, ir.SiteID) {
+		mod := ir.NewModule()
+		b := ir.NewFunction(mod, "f0", 0)
+		b.ALU(1)
+		b.Call("spin", 0)
+		b.Ret()
+		s := ir.NewFunction(mod, "spin", 0)
+		s.ALU(3)
+		s.Jmp("b")
+		s.NewBlock("b")
+		s.ALU(40)
+		s.Jmp("c")
+		s.NewBlock("c")
+		s.Jmp("entry")
+		return mod, 0
+	}
+	// selfLoop: the entry block jumps to itself; the root is already in
+	// the chain, so nothing merges.
+	selfLoop := func() (*ir.Module, ir.SiteID) {
+		mod := ir.NewModule()
+		b := ir.NewFunction(mod, "f0", 0)
+		b.ALU(5)
+		b.Jmp("entry")
+		return mod, 0
+	}
+	// resolveMid: a batched entry block jumps into a block holding a
+	// resolve feeding an icall, which jumps on into a batched return
+	// block — batched, per-event, batched in one superblock.
+	var site ir.SiteID
+	resolveMid := func() (*ir.Module, ir.SiteID) {
+		mod := ir.NewModule()
+		b := ir.NewFunction(mod, "f0", 0)
+		b.ALU(4)
+		b.Jmp("mid")
+		b.NewBlock("mid")
+		b.ALU(3)
+		var reg int32
+		site, reg = b.Resolve()
+		b.ALU(2)
+		b.ICall(site, reg, 1)
+		b.ALU(1)
+		b.Jmp("out")
+		b.NewBlock("out")
+		b.ALU(5)
+		b.Ret()
+		leaves(mod)
+		return mod, site
+	}
+	// fallThrough: blocks without a terminator, which only a malformed
+	// module has. The first jumps to the second, which is never merged;
+	// the second holds a resolve, so its tail run is charged per event
+	// just before the trap.
+	fallThrough := func() (*ir.Module, ir.SiteID) {
+		mod := ir.NewModule()
+		b := ir.NewFunction(mod, "f0", 0)
+		b.ALU(2)
+		b.Jmp("x")
+		b.NewBlock("x")
+		b.ALU(3)
+		site, _ = b.Resolve()
+		b.ALU(4)
+		leaves(mod)
+		return mod, site
+	}
+	type shape struct {
+		fn       string
+		seams    int   // seams in block 0's plan
+		last     ckind // kind of its last event
+		perEvent bool  // some seam carries a per-event run
+	}
+	cases := []struct {
+		name     string
+		build    func() (*ir.Module, ir.SiteID)
+		maxSteps int64
+		dists    bool
+		fault    string // expected error substring; "" runs to completion
+		shape    shape
+	}{
+		{"chain-past-cap", chain40, 0, false, "", shape{"chain", 32, cJmp, false}},
+		{"chain-past-cap-fuel", chain40, 36, false, "step budget", shape{"chain", 32, cJmp, false}},
+		{"cycle-fuel", cycle, 1000, false, "step budget", shape{"spin", 2, cJmp, false}},
+		{"self-loop-fuel", selfLoop, 999, false, "step budget", shape{"f0", 0, cJmp, false}},
+		{"resolve-in-merged-target", resolveMid, 0, true, "", shape{"f0", 2, cRet, true}},
+		{"resolve-in-merged-target-unresolved", resolveMid, 0, false, "no target distribution", shape{"f0", 2, cRet, true}},
+		{"resolve-in-merged-target-fuel", resolveMid, 3, true, "step budget", shape{"f0", 2, cRet, true}},
+		{"jump-to-unterminated-block", fallThrough, 0, true, "fell through", shape{"f0", 0, cJmp, false}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, site := tc.build()
+			p, err := Compile(mod)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			fi := p.FuncIndex(tc.shape.fn)
+			src := &p.funcs[fi]
+			segs := make([]segment, len(src.blocks))
+			for bi := range src.blocks {
+				segs[bi] = segmentOf(&src.blocks[bi])
+			}
+			pl := planBlock(&compiled{}, src, segs, 0)
+			seams, perEvent := 0, false
+			for k, it := range pl.items {
+				if it.pre != nil && k > 0 {
+					seams++
+					perEvent = perEvent || it.pre.preCount != 0
+				}
+			}
+			last := pl.items[len(pl.items)-1].ci
+			if seams != tc.shape.seams || last == nil || last.kind != tc.shape.last || perEvent != tc.shape.perEvent {
+				t.Fatalf("%s block 0: %d seams, per-event seam %v, last event %v; want %d, %v, kind %d",
+					tc.shape.fn, seams, perEvent, last, tc.shape.seams, tc.shape.perEvent, tc.shape.last)
+			}
+			res := NewResolverSized(p.SiteBound())
+			if tc.dists {
+				d, err := NewDist([]int{p.FuncIndex("t1"), p.FuncIndex("t2")}, []uint64{3, 1})
+				if err != nil {
+					t.Fatalf("NewDist: %v", err)
+				}
+				res.Set(site, d)
+			}
+			for _, seed := range []int64{1, 2} {
+				pair := newEnginePair(p, res, seed, 0, tc.maxSteps)
+				checkPair(t, pair, p, "f0", 4)
+				if err := pair.ref.Run("f0"); (err == nil) != (tc.fault == "") ||
+					(err != nil && !strings.Contains(err.Error(), tc.fault)) {
+					t.Fatalf("seed %d: Run = %v, want fault %q", seed, err, tc.fault)
+				}
+			}
+		})
 	}
 }
 

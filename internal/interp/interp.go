@@ -9,14 +9,19 @@
 //   - functional validation: transforms must preserve behaviour, which
 //     tests check by comparing execution traces before and after.
 //
-// The interpreter works on a compiled form of the module (Program) where
-// straight-line instruction runs are pre-aggregated, so measurement cost
-// is proportional to control-flow events rather than instruction count.
+// Compile lowers a module to a Program: per block, the list of its
+// control-flow events, each carrying the aggregated cost of the
+// straight-line run before it. This file's dispatch loop is the
+// per-event reference tier. It charges every event as it happens: the
+// step/fuel check and the i-cache touch at block entry, each event's
+// preceding run, then the event itself. The threaded-code tier
+// (compiled.go) is the fast engine; superblock formation and batched
+// segment charging live there, and the equivalence gates hold it
+// cycle-exact against this loop.
 //
 // Execution is iterative: calls push an explicit frame onto a pooled
 // frame stack instead of recursing through Go stack frames, so MaxDepth
-// is bounded by memory, not by goroutine stack growth, and deep call
-// chains cost one frame copy rather than a Go call.
+// is bounded by memory, not by goroutine stack growth.
 package interp
 
 import (
@@ -45,36 +50,31 @@ const (
 	cCall                 // direct call
 	cICall                // indirect call
 	cRet                  // return
-	cStep                 // superblock seam: the entry accounting of a merged jump target
 )
 
-// cinstr is one compiled control-flow event. The layout is deliberately
-// compact — 56 bytes, under one cache line — because the dispatch
-// loop's cost is dominated by event-record fetches: the compiled image
-// must fit in L2 for the interpreter to stream it. Three narrowings
-// make that possible: addresses are int32 (the image starts at
-// LayoutBase and is far smaller than 2 GiB; Compile rejects overflow),
-// kinds that never use a field reuse it (see the per-kind comments),
-// and switch target lists live in a per-function side table instead of
-// a 24-byte slice header per event. Cost fields are int32 — per-run
-// aggregates are bounded by block size times per-instruction latency,
-// far below 2^31.
+// cinstr is one compiled control-flow event. The layout is compact —
+// 56 bytes, under one cache line — because every in-flight image holds
+// its Program. Three narrowings make that possible: addresses are int32
+// (the image starts at LayoutBase and is far smaller than 2 GiB; Compile
+// rejects overflow), kinds that never use a field reuse it (see the
+// per-kind comments), and switch target lists live in a per-function
+// side table instead of a 24-byte slice header per event. Cost fields
+// are int32 — per-run aggregates are bounded by block size times
+// per-instruction latency, far below 2^31.
 type cinstr struct {
 	// preCost/preCount carry the aggregated latency and instruction
 	// count of the straight-line run preceding this event (plus the
 	// event's own instruction for cCmpFn, whose cycle rides on the
-	// fused branch). They are charged before the event executes,
+	// fused branch). The loop charges them before the event executes,
 	// preserving the exact charge order of per-instruction execution.
 	preCost  int32
 	preCount int32
-	addr     int32 // branch/call/ret instruction address; cStep: target line base
-	// cost: cResolve load latency; cBr taken threshold in 2^-24 units;
-	// cStep merged segment cost.
+	addr     int32 // branch/call/ret instruction address
+	// cost: cResolve load latency; cBr taken threshold in 2^-24 units.
 	cost int32
-	// then: cBr/cJmp taken block index; cStep line count.
-	then int32
+	then int32 // cBr/cJmp taken block index
 	// els: cBr fall-through block index; cCall/cICall return address
-	// (addr + size); cStep merged segment instruction count.
+	// (addr + size).
 	els int32
 	// callee: cCall/cCmpFn function index; cSwitch index into the
 	// function's switchTargets side table.
@@ -86,21 +86,13 @@ type cinstr struct {
 	site    ir.SiteID
 	args    int16 // call argument count (InlineCost caps it far below 2^15)
 	kind    ckind
-	useFlag bool // cBr: branch on flag; cStep: merged segment may fault
+	useFlag bool // cBr: branch on flag
 	table   bool // cSwitch: lowered as a jump table
-	// charged marks events whose segment takes the per-event accounting
-	// path (the segment may fault mid-block, so its straight-line runs
-	// cannot be batched at segment entry). Per-instruction rather than
-	// per-block so superblock merging can join segments with different
-	// accounting modes, and so a frame resumed mid-segment after a call
-	// recovers the right mode.
-	charged bool
 	def     ir.Defense
 }
 
-// cblock is narrowed like cinstr (48 bytes): block records are loaded
-// on every block transition, so they compete with event records for L2.
-// All fields fit int32 — addresses by the layout budget Compile
+// cblock is one block's event list plus the instruction-cache lines it
+// spans. All fields fit int32 — addresses by the layout budget Compile
 // enforces, costs because they are per-block aggregates.
 type cblock struct {
 	instrs   []cinstr
@@ -109,21 +101,10 @@ type cblock struct {
 
 	// tailCost/tailCount carry a trailing straight-line run with no
 	// following event (only possible in a malformed block that falls
-	// through); charged before the fell-through trap, as
+	// through); the loop charges it before the fell-through trap, as
 	// per-instruction execution would.
 	tailCost  int32
 	tailCount int32
-
-	// Batched accounting, precomputed at compile time: the sum of every
-	// pre/tail charge in the block. Blocks that cannot fault or suspend
-	// mid-block (no resolve, no calls) charge this in a single
-	// cpu.Model call at block entry instead of per event; the charges
-	// are order-independent additions, so the batch is cycle-exact, not
-	// approximate. Blocks with mayFault set take the per-event path so
-	// a mid-block trap never over-charges.
-	segCost  int32
-	segCount int32
-	mayFault bool
 }
 
 type cfunc struct {
@@ -137,12 +118,6 @@ type cfunc struct {
 	// events index it through their callee field. Hoisting the slices
 	// out of cinstr keeps the event record within one cache line.
 	switchTargets [][]int32
-	// flat marks call-free functions (no direct or indirect calls in
-	// any block). Such a body can never suspend — it runs to its return
-	// the moment it is entered — so the dispatch loop executes it
-	// frameless (runFlat) with scratch register/trip files instead of
-	// pushing an activation record.
-	flat bool
 }
 
 // probThresh converts a branch probability in [0,1] to the 24-bit
@@ -318,114 +293,14 @@ func (p *Program) compileFunc(f *ir.Function, index int32) (cfunc, error) {
 		end := addr - 1
 		cb.nLines = int32(end/lineSize-int64(cb.lineBase)/lineSize) + 1
 		cb.tailCost, cb.tailCount = pendCost, pendCount
-		cb.segCost, cb.segCount = cb.tailCost, cb.tailCount
-		for ii := range cb.instrs {
-			ci := &cb.instrs[ii]
-			cb.segCost += ci.preCost
-			cb.segCount += ci.preCount
-			if ci.kind == cResolve || ci.kind == cCall || ci.kind == cICall {
-				cb.mayFault = true
-			}
-		}
-		if cb.mayFault {
-			for ii := range cb.instrs {
-				cb.instrs[ii].charged = true
-			}
-		}
 		cf.blocks[bi] = cb
-	}
-	mergeSuperblocks(&cf)
-	cf.flat = len(cf.blocks) > 0
-	for bi := range cf.blocks {
-		for ii := range cf.blocks[bi].instrs {
-			if k := cf.blocks[bi].instrs[ii].kind; k == cCall || k == cICall {
-				cf.flat = false
-			}
-		}
 	}
 	return cf, nil
 }
 
-// isTerminator reports whether an event ends its block's event list
-// (execution never continues past it within the block).
-func isTerminator(k ckind) bool {
-	return k == cBr || k == cJmp || k == cSwitch || k == cRet
-}
-
-// mergeSuperblocks splices the event list of every unconditional-jump
-// target into the jumping block, replacing the cJmp with a cStep event
-// that performs exactly the target's block-entry accounting (step/fuel
-// check, then its batched Straightline or per-event TouchLines). The
-// dispatch loop then runs the whole chain without returning to the
-// block-transition path.
-//
-// The transform is observationally exact: the cStep fires at the same
-// sequence point the target's block entry would (so fuel accounting,
-// chaos-injection draw order and cpu.Model call order are identical),
-// per-event charge flags travel with each segment's events, and blocks
-// remain addressable (branches elsewhere still enter the original
-// target block directly). Chains are cycle-guarded and depth-capped;
-// a malformed target (no terminator) is never merged so fell-through
-// trap semantics keep their per-block tail charges.
-func mergeSuperblocks(cf *cfunc) {
-	const maxChain = 32
-	merged := make([][]cinstr, len(cf.blocks))
-	var expand func(bi int32, visited map[int32]bool, budget int) []cinstr
-	expand = func(bi int32, visited map[int32]bool, budget int) []cinstr {
-		instrs := cf.blocks[bi].instrs
-		t := -1
-		for i := range instrs {
-			if isTerminator(instrs[i].kind) {
-				t = i
-				break
-			}
-		}
-		if t < 0 {
-			return instrs // malformed: keep fell-through semantics
-		}
-		instrs = instrs[:t+1]
-		term := &instrs[t]
-		if term.kind != cJmp || budget == 0 {
-			return instrs
-		}
-		tgt := term.then
-		if visited[tgt] {
-			return instrs
-		}
-		visited[tgt] = true
-		tail := expand(tgt, visited, budget-1)
-		if len(tail) == 0 || !isTerminator(tail[len(tail)-1].kind) {
-			return instrs // target chain is malformed; don't merge
-		}
-		tb := &cf.blocks[tgt]
-		step := cinstr{
-			kind:     cStep,
-			preCost:  term.preCost, // the run before the jump, segment A's mode
-			preCount: term.preCount,
-			charged:  term.charged,
-			addr:     tb.lineBase,
-			then:     tb.nLines,
-			cost:     tb.segCost,
-			els:      tb.segCount,
-			useFlag:  tb.mayFault,
-		}
-		out := make([]cinstr, 0, t+1+len(tail))
-		out = append(out, instrs[:t]...)
-		out = append(out, step)
-		return append(out, tail...)
-	}
-	for bi := range cf.blocks {
-		visited := map[int32]bool{int32(bi): true}
-		merged[bi] = expand(int32(bi), visited, maxChain)
-	}
-	for bi := range cf.blocks {
-		cf.blocks[bi].instrs = merged[bi]
-	}
-}
-
 // ICallHook lets a runtime mechanism (the JumpSwitches baseline)
 // intercept indirect calls that carry no static defense. Handle returns
-// true if it charged the timing for the dispatch itself.
+// true if it accounted for the timing of the dispatch itself.
 type ICallHook interface {
 	Handle(m *cpu.Model, site ir.SiteID, siteAddr, targetAddr, retAddr int64, target int32) bool
 }
@@ -439,7 +314,7 @@ type frame struct {
 	ii       int32 // instruction index to resume at within the block
 	retAddr  int64
 	flag     bool
-	entering bool // block-entry accounting (fuel, icache, batch) pending
+	entering bool // block-entry accounting (fuel, icache) pending
 	regs     []int32
 	trips    []int32
 }
@@ -485,20 +360,13 @@ type Machine struct {
 	// observable to compare a candidate image against its reference.
 	OnResolve func(orig ir.SiteID, target int32)
 
-	// ExactAccounting forces the per-event cpu.Model charging path even
-	// for blocks eligible for batched block-entry charging. The batched
-	// path is cycle-exact by construction; this knob exists so tests can
-	// prove it (same seed, batched vs exact, identical Cycles/Stats).
-	ExactAccounting bool
-
 	// Engine selects the execution tier. EngineCompiled runs the
 	// threaded-code chain (compiled.go) when the machine's configuration
-	// permits — no recorder, hook, injector, replaced RNG or
-	// ExactAccounting — and falls back to the interpreter silently
-	// otherwise, so callers can set it unconditionally.
+	// permits — no recorder, hook, injector or replaced RNG — and falls
+	// back to the interpreter silently otherwise, so callers can set it
+	// unconditionally.
 	Engine Engine
 
-	steps int64
 	stack []frame
 	// src is the concrete view of RNG's source and ownRNG the *rand.Rand
 	// NewMachine built around it; the dispatch loop uses src only while
@@ -506,12 +374,6 @@ type Machine struct {
 	// desynchronising the streams.
 	src    *fastSource
 	ownRNG *rand.Rand
-	// leafRegs/leafTrips are the scratch register and trip-counter files
-	// shared by all frameless (runFlat) executions. Call-free bodies
-	// cannot nest, so one scratch file of each suffices at any depth;
-	// both are cleared per invocation, matching a fresh frame.
-	leafRegs  []int32
-	leafTrips []int32
 	// vm is the compiled tier's per-machine state; scratchCPU stands in
 	// for a nil CPU there (closures charge unconditionally rather than
 	// nil-check per event).
@@ -580,7 +442,6 @@ func (mc *Machine) RunIndex(idx int) error {
 	if idx < 0 || idx >= len(mc.Prog.funcs) {
 		return trap("entry", "interp: no function at index %d", idx)
 	}
-	mc.steps = 0
 	// The entry is "called" from a synthetic address so its final return
 	// has a matching RSB entry after warm-up.
 	const entryRetAddr = 0x7fff0000
@@ -648,203 +509,13 @@ func (mc *Machine) pushFrame(fi int32, depth int, retAddr int64) error {
 	return nil
 }
 
-// runFlat executes a call-free callee frameless: the exact observable
-// sequence of pushFrame plus a framed execution — depth and chaos
-// checks, recorder invoke, step/fuel at each block entry, segment
-// charges, predictor events, the final Return — without installing an
-// activation record or round-tripping through the dispatch loop's
-// frame switch. Registers and trip counters live in per-machine
-// scratch files, cleared per invocation exactly as a fresh frame's
-// would be; call-free bodies cannot nest, so one scratch file of each
-// is enough. The caller has already charged the call itself.
-func (mc *Machine) runFlat(lf *cfunc, model *cpu.Model, rng *rand.Rand, src *fastSource, retAddr int64, depth int, exact bool) error {
-	inject := mc.Inject
-	if depth >= mc.MaxDepth || (inject != nil && inject.ExhaustDepth()) {
-		return resilience.Faultf(resilience.PhaseExecute, resilience.KindDepthExhausted, lf.name,
-			"interp: call depth exceeds %d at %s", mc.MaxDepth, lf.name)
-	}
-	if inject != nil {
-		if err := inject.Trap(lf.name); err != nil {
-			return err
-		}
-	}
-	if mc.Rec != nil {
-		mc.Rec.invoke(lf.index)
-	}
-	if len(mc.leafRegs) < lf.numRegs {
-		mc.leafRegs = make([]int32, lf.numRegs+8)
-	}
-	regs := mc.leafRegs[:lf.numRegs]
-	clear(regs)
-	if len(mc.leafTrips) < lf.numTrips {
-		mc.leafTrips = make([]int32, lf.numTrips+8)
-	}
-	trips := mc.leafTrips[:lf.numTrips]
-	clear(trips)
-	res := mc.Res
-	onResolve := mc.OnResolve
-	flag := false
-	bi := int32(0)
-	// The step counter lives in a register for the duration of the body
-	// and is published back to the machine at every exit, so the fuel
-	// check is not a heap read-modify-write per block.
-	steps := mc.steps
-	maxSteps := mc.MaxSteps
-	for {
-		b := &lf.blocks[bi]
-		steps++
-		if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-			mc.steps = steps
-			return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, lf.name,
-				"interp: step budget exhausted in %s", lf.name)
-		}
-		if model != nil {
-			if !b.mayFault && !exact {
-				if b.nLines == 1 {
-					model.Cycles += int64(b.segCost)
-					model.Stats.Instructions += int64(b.segCount)
-					model.TouchLine(int64(b.lineBase))
-				} else {
-					model.Straightline(int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines))
-				}
-			} else {
-				model.TouchLines(int64(b.lineBase), int(b.nLines))
-			}
-		}
-		next := int32(-1)
-		instrs := b.instrs
-		for ii := 0; ii < len(instrs); ii++ {
-			ci := &instrs[ii]
-			if (ci.charged || exact) && model != nil && ci.preCount != 0 {
-				model.AddStraightline(int64(ci.preCost), int64(ci.preCount))
-			}
-			switch ci.kind {
-			case cResolve:
-				var d *Dist
-				if res != nil {
-					d = res.Get(ci.orig)
-				}
-				if d == nil {
-					mc.steps = steps
-					return trap(lf.name, "interp: %s: no target distribution for site %d (orig %d)", lf.name, ci.site, ci.orig)
-				}
-				var tgt int32
-				if src != nil {
-					tgt = d.pickFast(src)
-				} else {
-					tgt = d.Pick(rng)
-				}
-				regs[ci.reg] = tgt + 1
-				if onResolve != nil {
-					onResolve(ci.orig, tgt)
-				}
-				if model != nil {
-					model.AddStraightline(int64(ci.cost), 1)
-				}
-			case cCmpFn:
-				flag = regs[ci.reg] == ci.callee+1
-			case cBr:
-				var taken bool
-				switch {
-				case ci.trip > 0:
-					cnt := trips[ci.tripIdx]
-					if cnt < ci.trip-1 {
-						trips[ci.tripIdx] = cnt + 1
-						taken = true
-					} else {
-						trips[ci.tripIdx] = 0
-						taken = false
-					}
-				case ci.useFlag:
-					taken = flag
-				default:
-					var u uint64
-					if src != nil {
-						u = src.Uint64()
-					} else {
-						u = rng.Uint64()
-					}
-					taken = uint32(u>>40) < uint32(ci.cost)
-				}
-				if model != nil {
-					model.CondBranch(int64(ci.addr), taken)
-				}
-				if taken {
-					next = ci.then
-				} else {
-					next = ci.els
-				}
-			case cJmp:
-				next = ci.then
-			case cSwitch:
-				targets := lf.switchTargets[ci.callee]
-				var k int
-				if src != nil {
-					k = int(uint64nSrc(src, uint64(len(targets))))
-				} else {
-					k = int(uint64n(rng, uint64(len(targets))))
-				}
-				if model != nil {
-					if ci.table {
-						model.IndirectJump(int64(ci.addr), int64(k), ci.def)
-					} else {
-						for j := 0; j <= k && j < len(targets)-1; j++ {
-							model.CondBranch(int64(ci.addr)+int64(j), j == k)
-						}
-					}
-				}
-				next = targets[k]
-			case cRet:
-				if model != nil {
-					model.Return(retAddr, ci.def)
-				}
-				mc.steps = steps
-				return nil
-			case cStep:
-				steps++
-				if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-					mc.steps = steps
-					return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, lf.name,
-						"interp: step budget exhausted in %s", lf.name)
-				}
-				if model != nil {
-					if !ci.useFlag && !exact {
-						if ci.then == 1 {
-							model.Cycles += int64(ci.cost)
-							model.Stats.Instructions += int64(ci.els)
-							model.TouchLine(int64(ci.addr))
-						} else {
-							model.Straightline(int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then))
-						}
-					} else {
-						model.TouchLines(int64(ci.addr), int(ci.then))
-					}
-				}
-			}
-			if next >= 0 {
-				break
-			}
-		}
-		if next < 0 {
-			if model != nil && (b.mayFault || exact) && b.tailCount != 0 {
-				model.AddStraightline(int64(b.tailCost), int64(b.tailCount))
-			}
-			mc.steps = steps
-			return trap(lf.name, "interp: %s: block %d fell through without terminator", lf.name, bi)
-		}
-		bi = next
-	}
-}
-
-// exec drives the iterative dispatch loop. Each iteration of the outer
-// loop resumes the top-of-stack frame: calls suspend the caller (saving
-// its resume index) and push the callee; returns pop.
-//
-// Per-frame state (block index, resume index, flag, register/trip
-// slices) is held in locals across the inner block loop — the compiler
-// cannot keep fields of a heap frame in registers across the model's
-// method calls, so the loop spills them back only at suspension points
-// (calls) rather than on every access.
+// exec drives the dispatch loop. Each iteration of the outer loop
+// resumes the top-of-stack frame: calls suspend the caller (saving its
+// resume index) and push the callee; returns pop. Every charge happens
+// at its event: block entry takes the step/fuel check and touches the
+// block's i-cache lines, each event first charges the straight-line run
+// before it, and a block that falls through charges its tail run before
+// the trap.
 func (mc *Machine) exec(entry int32, retAddr int64) error {
 	if err := mc.pushFrame(entry, 0, retAddr); err != nil {
 		return err
@@ -861,15 +532,12 @@ func (mc *Machine) exec(entry int32, retAddr int64) error {
 	hook := mc.Hook
 	onResolve := mc.OnResolve
 	inject := mc.Inject
-	exact := mc.ExactAccounting
-	// As in runFlat, the step counter stays in a register; it is synced
-	// through mc.steps around runFlat calls (the only other reader) and
-	// reset by Run, so exit paths need no write-back.
-	steps := mc.steps
-	maxSteps := mc.MaxSteps
+	var steps int64
 	sp := 0
 frames:
 	for sp >= 0 {
+		// Per-frame state lives in locals and is spilled back to the
+		// frame only when a call suspends it.
 		fr := &mc.stack[sp]
 		f := &funcs[fr.fi]
 		bi := fr.bi
@@ -878,41 +546,24 @@ frames:
 		resume := int(fr.ii)
 		regs := fr.regs
 		trips := fr.trips
-		frRetAddr := fr.retAddr
 		for {
 			b := &f.blocks[bi]
-			// Blocks without a fault or suspension point charge all
-			// their straight-line cost in one model call at entry;
-			// the charges are unconditional once the block is entered
-			// and commute with the terminator's predictor events, so
-			// the batch is cycle-exact. mayFault blocks (and the
-			// ExactAccounting test knob) take the per-event path.
 			if entering {
 				resume = 0
 				steps++
-				if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
+				if steps > mc.MaxSteps || (inject != nil && inject.ExhaustFuel()) {
 					return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, f.name,
 						"interp: step budget exhausted in %s", f.name)
 				}
 				if model != nil {
-					if !b.mayFault && !exact {
-						if b.nLines == 1 {
-							model.Cycles += int64(b.segCost)
-							model.Stats.Instructions += int64(b.segCount)
-							model.TouchLine(int64(b.lineBase))
-						} else {
-							model.Straightline(int64(b.segCost), int64(b.segCount), int64(b.lineBase), int(b.nLines))
-						}
-					} else {
-						model.TouchLines(int64(b.lineBase), int(b.nLines))
-					}
+					model.TouchLines(int64(b.lineBase), int(b.nLines))
 				}
 			}
-			next := int32(-1)
+			next, callee := int32(-1), int32(-1)
 			instrs := b.instrs
 			for ii := resume; ii < len(instrs); ii++ {
 				ci := &instrs[ii]
-				if (ci.charged || exact) && model != nil && ci.preCount != 0 {
+				if model != nil && ci.preCount != 0 {
 					model.AddStraightline(int64(ci.preCost), int64(ci.preCount))
 				}
 				switch ci.kind {
@@ -955,8 +606,7 @@ frames:
 						taken = flag
 					default:
 						// Integer comparison against the precompiled
-						// 24-bit threshold: one Uint64 draw, no float
-						// conversion on the hot path.
+						// 24-bit threshold: one Uint64 draw.
 						var u uint64
 						if src != nil {
 							u = src.Uint64()
@@ -996,108 +646,59 @@ frames:
 					}
 					next = targets[k]
 				case cCall:
-					retAddr := int64(ci.els)
 					if rec != nil {
 						rec.direct(ci.orig, ci.callee)
 					}
 					if model != nil {
-						model.DirectCall(retAddr, int32(ci.args))
+						model.DirectCall(int64(ci.els), int32(ci.args))
 					}
-					if lf := &funcs[ci.callee]; lf.flat {
-						mc.steps = steps
-						if err := mc.runFlat(lf, model, rng, src, retAddr, sp+1, exact); err != nil {
-							return err
-						}
-						steps = mc.steps
-						continue
-					}
-					fr.bi = bi
-					fr.ii = int32(ii + 1)
-					fr.flag = flag
-					fr.entering = false
-					if err := mc.pushFrame(ci.callee, sp+1, retAddr); err != nil {
-						return err
-					}
-					sp++
-					continue frames
+					callee = ci.callee
 				case cICall:
 					tgt := regs[ci.reg] - 1
 					if tgt < 0 {
 						return trap(f.name, "interp: %s: icall through unresolved register r%d (site %d)", f.name, ci.reg, ci.site)
 					}
-					retAddr := int64(ci.els)
 					if rec != nil {
 						rec.indirect(ci.orig, tgt)
 					}
 					if model != nil {
-						handled := false
-						if hook != nil && ci.def == ir.DefNone {
-							handled = hook.Handle(model, ci.orig, int64(ci.addr), funcs[tgt].addr, retAddr, tgt)
-						}
-						if !handled {
-							model.IndirectCall(int64(ci.addr), funcs[tgt].addr, retAddr, int32(ci.args), ci.def)
-						} else {
-							// The hook charged dispatch; still push the
+						ret := int64(ci.els)
+						if hook != nil && ci.def == ir.DefNone &&
+							hook.Handle(model, ci.orig, int64(ci.addr), funcs[tgt].addr, ret, tgt) {
+							// The hook accounted for dispatch; still push the
 							// return address for backward-edge fidelity.
-							model.DirectCall(retAddr, int32(ci.args))
+							model.DirectCall(ret, int32(ci.args))
+						} else {
+							model.IndirectCall(int64(ci.addr), funcs[tgt].addr, ret, int32(ci.args), ci.def)
 						}
 					}
-					if lf := &funcs[tgt]; lf.flat {
-						mc.steps = steps
-						if err := mc.runFlat(lf, model, rng, src, retAddr, sp+1, exact); err != nil {
-							return err
-						}
-						steps = mc.steps
-						continue
+					callee = tgt
+				case cRet:
+					if model != nil {
+						model.Return(fr.retAddr, ci.def)
 					}
+					sp--
+					continue frames
+				}
+				if callee >= 0 {
+					// Suspend this frame at the next event and enter the
+					// callee; its return resumes here.
 					fr.bi = bi
 					fr.ii = int32(ii + 1)
 					fr.flag = flag
 					fr.entering = false
-					if err := mc.pushFrame(tgt, sp+1, retAddr); err != nil {
+					if err := mc.pushFrame(callee, sp+1, int64(ci.els)); err != nil {
 						return err
 					}
 					sp++
 					continue frames
-				case cRet:
-					if model != nil {
-						model.Return(frRetAddr, ci.def)
-					}
-					sp--
-					continue frames
-				case cStep:
-					// Superblock seam: the merged jump target's block
-					// entry — same step/fuel sequence point and the
-					// target segment's own batched-or-per-event charge.
-					steps++
-					if steps > maxSteps || (inject != nil && inject.ExhaustFuel()) {
-						return resilience.Faultf(resilience.PhaseExecute, resilience.KindFuelExhausted, f.name,
-							"interp: step budget exhausted in %s", f.name)
-					}
-					if model != nil {
-						if !ci.useFlag && !exact {
-							if ci.then == 1 {
-								// Single-line segment: charge the fields
-								// directly and skip the Straightline call
-								// layer (TouchLine's last-line probe is
-								// the dominant outcome).
-								model.Cycles += int64(ci.cost)
-								model.Stats.Instructions += int64(ci.els)
-								model.TouchLine(int64(ci.addr))
-							} else {
-								model.Straightline(int64(ci.cost), int64(ci.els), int64(ci.addr), int(ci.then))
-							}
-						} else {
-							model.TouchLines(int64(ci.addr), int(ci.then))
-						}
-					}
 				}
 				if next >= 0 {
 					break
 				}
 			}
 			if next < 0 {
-				if model != nil && (b.mayFault || exact) && b.tailCount != 0 {
+				if model != nil && b.tailCount != 0 {
 					model.AddStraightline(int64(b.tailCost), int64(b.tailCount))
 				}
 				return trap(f.name, "interp: %s: block %d fell through without terminator", f.name, bi)

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/ckpt"
 )
 
@@ -73,6 +75,44 @@ func sweepStateConfig(statePath string) Config {
 	}
 }
 
+// stateFixture is the suite and the uninterrupted reference report the
+// state and shard tests share. Building the suite (kernel generation
+// plus profiling) and sweeping the reference grid once, instead of once
+// per test, is most of what keeps the race run of this package inside
+// the default test timeout. A sweep releases its cells' images, so each
+// test still re-measures every cell it runs.
+var stateFixture struct {
+	once    sync.Once
+	suite   *bench.Suite
+	refJSON []byte
+	err     error
+}
+
+// sharedStateSuite returns the shared suite and the reference
+// BENCH_sweep.json of sweepStateConfig("") on it.
+func sharedStateSuite(t *testing.T) (*bench.Suite, []byte) {
+	t.Helper()
+	f := &stateFixture
+	f.once.Do(func() {
+		s, err := buildSweepSuite(2)
+		if err != nil {
+			f.err = err
+			return
+		}
+		ref, err := Run(s, sweepStateConfig(""))
+		if err != nil {
+			f.err = err
+			return
+		}
+		f.suite = s
+		f.refJSON, f.err = ref.WriteJSON()
+	})
+	if f.err != nil {
+		t.Fatalf("shared state-test suite: %v", f.err)
+	}
+	return f.suite, f.refJSON
+}
+
 func mustCombos(s string) []Combo {
 	cs, err := CombosByName(s)
 	if err != nil {
@@ -89,17 +129,8 @@ func mustCombos(s string) []Combo {
 // covers the degenerate resumes: a fully complete state file (nothing
 // left to run) and an empty one (everything left to run).
 func TestSweepStateResumeByteIdentical(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	s, refJSON := sharedStateSuite(t)
 	dir := t.TempDir()
-
-	ref, err := Run(s, sweepStateConfig(""))
-	if err != nil {
-		t.Fatalf("reference Run: %v", err)
-	}
-	refJSON, err := ref.WriteJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	state := filepath.Join(dir, "sweep.state")
 	cfg := sweepStateConfig(state)
@@ -116,10 +147,10 @@ func TestSweepStateResumeByteIdentical(t *testing.T) {
 	}
 
 	cuts := map[string]int{
-		"no-cells":  firstCell,            // config survived, every cell lost
-		"mid-cell":  firstCell + 40,       // torn write inside the first cell frame
-		"torn-tail": len(full) - 10,       // last cell's frame torn
-		"complete":  len(full),            // nothing to do on resume
+		"no-cells":  firstCell,      // config survived, every cell lost
+		"mid-cell":  firstCell + 40, // torn write inside the first cell frame
+		"torn-tail": len(full) - 10, // last cell's frame torn
+		"complete":  len(full),      // nothing to do on resume
 	}
 	for name, cut := range cuts {
 		resumed := filepath.Join(dir, "resume-"+name+".state")
@@ -162,7 +193,7 @@ func TestSweepStateResumeByteIdentical(t *testing.T) {
 // fingerprint gates resume, so cells from one sweep can never silently
 // leak into another's report.
 func TestSweepStateTamperRejected(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	s, _ := sharedStateSuite(t)
 	state := filepath.Join(t.TempDir(), "sweep.state")
 	if _, err := Run(s, sweepStateConfig(state)); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -208,15 +239,9 @@ func TestSweepStateTamperRejected(t *testing.T) {
 // state file is given a fresh chance on resume (unlike successful
 // cells, which are skipped), and the healthy rerun replaces it.
 func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	s, refJSON := sharedStateSuite(t)
 	state := filepath.Join(t.TempDir(), "sweep.state")
 	cfg := sweepStateConfig(state)
-
-	ref, err := Run(s, sweepStateConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, _ := ref.WriteJSON()
 
 	// Hand-build a state file whose cell 0 is a failure record.
 	if err := cfg.fill(); err != nil {
@@ -256,14 +281,8 @@ func TestSweepStateFailedCellRerunOnResume(t *testing.T) {
 // report byte-identical to the single-process run's. Mismatched
 // fingerprints and absent files are refused.
 func TestSweepShardMerge(t *testing.T) {
-	s := newSweepSuite(t, 2)
+	s, refJSON := sharedStateSuite(t)
 	dir := t.TempDir()
-
-	ref, err := Run(s, sweepStateConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, _ := ref.WriteJSON()
 
 	var paths []string
 	for shard := 0; shard < 2; shard++ {

@@ -169,12 +169,20 @@ func TestBudgetLabelSweep(t *testing.T) {
 
 func newSweepSuite(t *testing.T, measureWorkers int) *bench.Suite {
 	t.Helper()
-	s, err := bench.NewSuiteKernel(pibe.KernelConfig{Seed: 5, ColdFuncs: 300})
+	s, err := buildSweepSuite(measureWorkers)
 	if err != nil {
 		t.Fatalf("NewSuiteKernel: %v", err)
 	}
-	s.Sys.SetMeasureWorkers(measureWorkers)
 	return s
+}
+
+func buildSweepSuite(measureWorkers int) (*bench.Suite, error) {
+	s, err := bench.NewSuiteKernel(pibe.KernelConfig{Seed: 5, ColdFuncs: 300})
+	if err != nil {
+		return nil, err
+	}
+	s.Sys.SetMeasureWorkers(measureWorkers)
+	return s, nil
 }
 
 // TestSweepSmallGridDeterministicAndMonotone is the acceptance test of

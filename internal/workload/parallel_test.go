@@ -3,9 +3,6 @@ package workload
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/cpu"
-	"repro/internal/interp"
 )
 
 // TestMeasureParallelEquivalence checks the sharded driver's core
@@ -51,39 +48,5 @@ func TestMeasureParallelEquivalence(t *testing.T) {
 		if got.req != serial.req {
 			t.Errorf("MeasureRequest differs at %d workers: %v vs %v", w, got.req, serial.req)
 		}
-	}
-}
-
-// TestBatchedAccountingMatchesExact checks the cost-batching invariant:
-// precomputed per-block charges must equal the per-event accounting path
-// cycle for cycle and counter for counter, across every kernel entry.
-func TestBatchedAccountingMatchesExact(t *testing.T) {
-	k, prog := setup(t)
-	res, err := BuildResolver(k, prog, LMBench)
-	if err != nil {
-		t.Fatalf("BuildResolver: %v", err)
-	}
-	run := func(exact bool) (int64, cpu.Counters) {
-		t.Helper()
-		mc := interp.NewMachine(prog, 7)
-		mc.CPU = cpu.New(cpu.DefaultParams())
-		mc.Res = res
-		mc.ExactAccounting = exact
-		for _, sp := range k.Specs {
-			for i := 0; i < 3; i++ {
-				if err := mc.Run(k.Entries[sp.Name]); err != nil {
-					t.Fatalf("Run(%s, exact=%v): %v", sp.Name, exact, err)
-				}
-			}
-		}
-		return mc.CPU.Cycles, mc.CPU.Stats
-	}
-	batchedCycles, batchedStats := run(false)
-	exactCycles, exactStats := run(true)
-	if batchedCycles != exactCycles {
-		t.Errorf("cycle delta: batched %d, exact %d", batchedCycles, exactCycles)
-	}
-	if batchedStats != exactStats {
-		t.Errorf("counter delta:\nbatched %+v\nexact   %+v", batchedStats, exactStats)
 	}
 }
